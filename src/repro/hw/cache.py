@@ -33,7 +33,7 @@ from ..config import CacheSpec
 from .address import AddressMap
 from .occupancy import single_server_waits
 from .replacement import CacheSet, make_set
-from .tagstore import LruTagStore
+from .tagstore import LruTagStore, WalkPlan
 
 __all__ = [
     "L2Cache",
@@ -47,13 +47,13 @@ __all__ = [
 class EpochAccessPlan(NamedTuple):
     """State-independent layout of one batched access stream.
 
-    Built by :meth:`VectorL2Cache.plan_epoch`; ``rounds`` is the tag-store
-    round decomposition and ``bank_groups`` the per-bank lane grouping,
+    Built by :meth:`VectorL2Cache.plan_epoch`; ``walk`` is the tag-store
+    per-set walk layout and ``bank_groups`` the per-bank lane grouping,
     both reusable across sweeps that replay the same addresses.
     """
 
     count: int
-    rounds: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+    walk: WalkPlan
     bank_groups: List[Tuple[int, np.ndarray]]
 
 
@@ -198,7 +198,7 @@ class VectorL2Cache:
     def plan_epoch(self, paddrs: np.ndarray) -> "EpochAccessPlan":
         """Precompute the state-independent parts of one access stream.
 
-        Set decoding, tag extraction, the tag-store round split, and the
+        Set decoding, tag extraction, the tag-store walk layout, and the
         per-bank grouping are all functions of the addresses and the cache
         geometry alone; a caller that replays the same stream sweep after
         sweep (:class:`~repro.sim.ops.ProbeEpoch`) builds this once and
@@ -206,7 +206,7 @@ class VectorL2Cache:
         """
         sets = self.set_indices(paddrs)
         tags = paddrs >> self.addr.tag_shift
-        rounds = self._store.plan_rounds(sets, tags)
+        walk = self._store.plan_walk(sets, tags)
         banks = sets & self._bank_mask
         order = np.argsort(banks, kind="stable")
         grouped = banks[order]
@@ -218,7 +218,7 @@ class VectorL2Cache:
                 lane = order[bounds[at] : bounds[at + 1]]
                 bank_groups.append((int(grouped[bounds[at]]), lane))
         return EpochAccessPlan(
-            count=int(paddrs.size), rounds=rounds, bank_groups=bank_groups
+            count=int(paddrs.size), walk=walk, bank_groups=bank_groups
         )
 
     def access_lines_planned(
@@ -230,7 +230,7 @@ class VectorL2Cache:
         over the same stream would; returns ``(hits, evictions,
         bank_waits)``.
         """
-        hits, evictions = self._store.access_lines_planned(plan.rounds, plan.count)
+        hits, evictions = self._store.access_lines_planned(plan.walk)
         waits = np.zeros(plan.count, dtype=np.float64)
         service = float(self.spec.bank_service_cycles)
         bank_busy = self._bank_busy

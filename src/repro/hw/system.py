@@ -9,6 +9,7 @@ local one.  All four timing classes of Fig 4 come out of this path.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import List, Optional
 
 import numpy as np
@@ -26,6 +27,12 @@ from .topology import Topology
 
 __all__ = ["MultiGPUSystem"]
 
+#: Epoch plans kept by the LRU plan cache.  Every sweep of a memorygram
+#: capture touches each prober block's plan once, while the victim's
+#: one-shot bursts add a fresh plan each; the cache must outlast the
+#: victim bursts that fall between two sweeps of one block.
+_EPOCH_PLAN_CAPACITY = 128
+
 
 class _EpochPlan:
     """Precomputed layout of one ProbeEpoch's flattened access stream.
@@ -36,11 +43,18 @@ class _EpochPlan:
     by the buffer's generation token plus the sets tuple's identity: the
     token is never recycled (unlike ``id()``), so a freed-and-reallocated
     buffer can never be served another allocation's physical addresses.
+
+    The per-L2 access plan (``cache_plan``, from
+    :meth:`VectorL2Cache.plan_epoch`) is built lazily by
+    :meth:`MultiGPUSystem._cache_plan`, which counts the builds.  Its walk
+    layout and bank grouping depend only on the physical addresses and
+    the cache geometry; one plan per home L2 is enough because an epoch's
+    probe buffer is homed on one GPU.
     """
 
     __slots__ = (
         "buffer", "sets", "counts", "offsets", "flat", "paddrs",
-        "positions", "_paddr_list", "_cache_plan", "_cache_plan_l2",
+        "positions", "_paddr_list", "cache_plan", "cache_plan_l2",
         "_small_plan", "_small_plan_l2",
     )
 
@@ -48,8 +62,8 @@ class _EpochPlan:
         self.buffer = buffer
         self.sets = sets
         self._paddr_list = None
-        self._cache_plan = None
-        self._cache_plan_l2 = None
+        self.cache_plan = None
+        self.cache_plan_l2 = None
         self._small_plan = None
         self._small_plan_l2 = None
         set_lists = [
@@ -76,19 +90,6 @@ class _EpochPlan:
             self._paddr_list = self.paddrs.tolist()
         return self._paddr_list
 
-    def cache_plan(self, l2: VectorL2Cache):
-        """The (lazily built) per-L2 access plan for this epoch's stream.
-
-        The round decomposition and bank grouping depend only on the
-        physical addresses and the cache geometry, so they are as
-        loop-invariant as the flattened indices; one plan per home L2 is
-        enough because an epoch's probe buffer is homed on one GPU.
-        """
-        if self._cache_plan_l2 is not l2:
-            self._cache_plan = l2.plan_epoch(self.paddrs)
-            self._cache_plan_l2 = l2
-        return self._cache_plan
-
     def small_plan(self, l2: VectorL2Cache):
         """Decoded ``(runs, tags, paddrs)`` layout for the fused core.
 
@@ -97,7 +98,7 @@ class _EpochPlan:
         burst (``ways`` consecutive accesses to one set) is serviced
         against Python-local row state with one writeback per run.  All
         of it is geometry-pure, so it is hoisted out of the per-access
-        loop and cached per home L2 like :meth:`cache_plan`.
+        loop and cached per home L2 like ``cache_plan``.
         """
         if self._small_plan_l2 is not l2:
             sets = l2.set_indices(self.paddrs)
@@ -193,9 +194,13 @@ class MultiGPUSystem:
         #: Nullable per-GPU latency multipliers (DVFS/clock-drift faults);
         #: the access paths pay one ``is None`` branch when unset.
         self._latency_scale: Optional[np.ndarray] = None
-        #: Bounded FIFO cache of :class:`_EpochPlan`, keyed by (buffer
+        #: Bounded LRU cache of :class:`_EpochPlan`, keyed by (buffer
         #: generation token, sets-tuple identity) -- see _epoch_plan.
-        self._epoch_plans: dict = {}
+        self._epoch_plans: OrderedDict = OrderedDict()
+        #: L2 access plans built for epoch plans (:meth:`_cache_plan`).  A
+        #: prober block builds one per recording; growth with the sweep
+        #: count means the plan cache is thrashing.
+        self.plan_builds = 0
 
     # ------------------------------------------------------------------
     # Processes
@@ -455,7 +460,7 @@ class MultiGPUSystem:
         if isinstance(home_gpu.l2, VectorL2Cache):
             latencies, hits, misses, evictions = self._service_batch_vector(
                 home_gpu, exec_gpu, home, remote, plan.paddrs, stamps, process.pid,
-                cache_plan=plan.cache_plan(home_gpu.l2),
+                cache_plan=self._cache_plan(plan, home_gpu.l2),
             )
         else:
             paddrs = [buffer.paddr(int(index)) for index in plan.flat]
@@ -505,20 +510,32 @@ class MultiGPUSystem:
         planning).  The key pairs the buffer's generation *token* -- bumped
         on every allocation and translation change, never recycled -- with
         the sets tuple's identity; the ``plan.sets is sets`` guard covers
-        the (recyclable) half of the key.  The store is a bounded FIFO so
-        one-shot victim bursts cannot accumulate plans without bound.
+        the (recyclable) half of the key.  The store is a bounded LRU so
+        one-shot victim bursts cannot accumulate plans without bound, nor
+        push out the plans a prober re-yields every sweep.
         """
         if not isinstance(sets, tuple):
             return _EpochPlan(buffer, tuple(sets))
         key = (buffer.token, id(sets))
-        plan = self._epoch_plans.get(key)
+        plans = self._epoch_plans
+        plan = plans.get(key)
         if plan is not None and plan.sets is sets:
+            plans.move_to_end(key)
             return plan
         plan = _EpochPlan(buffer, sets)
-        if len(self._epoch_plans) >= 64:
-            self._epoch_plans.pop(next(iter(self._epoch_plans)))
-        self._epoch_plans[key] = plan
+        plans[key] = plan
+        plans.move_to_end(key)
+        if len(plans) > _EPOCH_PLAN_CAPACITY:
+            plans.popitem(last=False)
         return plan
+
+    def _cache_plan(self, plan: _EpochPlan, l2: VectorL2Cache):
+        """``plan``'s access plan for the home ``l2``, built on first use."""
+        if plan.cache_plan_l2 is not l2:
+            plan.cache_plan = l2.plan_epoch(plan.paddrs)
+            plan.cache_plan_l2 = l2
+            self.plan_builds += 1
+        return plan.cache_plan
 
     def epoch_layout(self, buffer: DeviceBuffer, sets, parallel: bool, issue_gap: float):
         """Static per-burst layout for :class:`~repro.sim.ops.EpochOutcome`.
@@ -568,21 +585,22 @@ class MultiGPUSystem:
             empty = np.empty(0, dtype=np.float64)
             return empty, np.empty(0, dtype=bool), 0.0, remote, False
         vector_l2 = isinstance(home_gpu.l2, VectorL2Cache)
-        if (
-            vector_l2
-            and count >= 32
-            and count >= 12 * len(plan.cache_plan(home_gpu.l2).rounds)
-        ):
-            # Wide rounds only: a same-set-heavy burst (a covert prime is
-            # ``ways`` accesses to each of a handful of sets) decomposes
-            # into rounds too narrow to amortize the array ops, so it is
-            # better off in the fused per-access loop below.
+        cache_plan = (
+            self._cache_plan(plan, home_gpu.l2)
+            if vector_l2 and count >= 32
+            else None
+        )
+        if cache_plan is not None and count >= 12 * cache_plan.walk.longest:
+            # Wide bursts only: a same-set-heavy burst (a covert prime is
+            # ``ways`` accesses to each of a handful of sets) has walks
+            # too long for its few sets to amortize the array ops, so it
+            # is better off in the fused per-access loop below.
             stamps = now + plan.positions * issue_gap if parallel else np.full(
                 count, float(now)
             )
             latencies, hits, misses, evictions = self._service_batch_vector(
                 home_gpu, exec_gpu, home, remote, plan.paddrs, stamps,
-                process.pid, cache_plan=plan.cache_plan(home_gpu.l2),
+                process.pid, cache_plan=cache_plan,
             )
             if parallel:
                 total = float(np.max(plan.positions * issue_gap + latencies))
@@ -829,8 +847,8 @@ class MultiGPUSystem:
         """Vectorized service of one batch; returns arrays + counts.
 
         ``cache_plan`` (from :meth:`VectorL2Cache.plan_epoch`) skips the
-        per-batch round decomposition when the caller reuses one access
-        stream sweep after sweep.
+        per-batch walk layout and bank grouping when the caller reuses
+        one access stream sweep after sweep.
         """
         timing = self.spec.timing
         if cache_plan is not None:

@@ -5,7 +5,7 @@ object per cache set; at memorygram scale (256-1024 monitored sets x 16
 lines per probe x thousands of sweeps) the per-access dict operations
 dominate the whole simulator.  :class:`LruTagStore` holds every set's tags
 in one ``(num_sets, ways)`` int64 matrix plus an age matrix, and services a
-whole batch of accesses with array operations.
+whole batch of accesses per call.
 
 Exact-LRU equivalence
 ---------------------
@@ -17,14 +17,23 @@ minimum-age (least recently used) valid way is evicted.  The differential
 tests in ``tests/test_vector_cache.py`` pin the two implementations to
 identical hit/miss/eviction sequences.
 
-Batch processing happens in *rounds*: round ``r`` services the ``r``-th
-access of every distinct set in the batch.  Within a round all accesses
-touch different sets, so the updates are independent and fully
-vectorizable; across rounds the per-set sequential semantics (an access
-sees the fills and evictions of earlier accesses to its set) are
-preserved.  An eviction-set traversal (16 accesses to one set) therefore
-costs 16 small rounds, while a multi-set probe epoch (256 sets x 16 lines)
-costs 16 rounds of 256-wide array ops instead of 4096 Python iterations.
+A batch is serviced as one *walk* per set: the accesses to each distinct
+set, in program order, against that set's row.  Sets never interact, so
+the walks can run in any order.  The access at position ``q`` of its
+set's walk is stamped with age ``tick + q``, and the batch advances the
+tick by its longest walk, so every later access is younger than the whole
+batch.  A walk runs in plain Python on a list copy of its row --
+``list.index`` for the hit way, else the first invalid way, else the
+first minimum age -- and the row is written back once: at ``ways``-sized
+rows, list scans are several times cheaper than numpy reductions.
+
+A caller that replays one stream sweep after sweep (a prober epoch) builds
+a :class:`WalkPlan` once.  The planned path first compares every access's
+tag with its row in one array pass.  A set whose walk tags are all
+resident cannot miss -- nothing is filled, so nothing is evicted -- and
+settles with one age scatter; only the sets with a miss are walked.  A
+warm memorygram sweep, where every monitored set still holds the spy's
+lines, therefore costs a handful of array ops.
 
 Only true LRU is vectorized -- the policy the paper reverse-engineers on
 the P100 ("evicted consistently after the 16th address", Fig 5).  The
@@ -33,45 +42,55 @@ pLRU/random ablation policies stay on the scalar reference path.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["LruTagStore", "occurrence_ranks"]
+__all__ = ["LruTagStore", "WalkPlan"]
 
 _INVALID = -1
-_AGE_MAX = np.iinfo(np.int64).max
 
-_IOTA = np.arange(4096, dtype=np.int64)
-
-
-def _iota(n: int) -> np.ndarray:
-    """``arange(n)`` from a shared read-only pool (round-core row picker)."""
-    global _IOTA
-    if n > _IOTA.size:
-        _IOTA = np.arange(max(n, 2 * _IOTA.size), dtype=np.int64)
-    return _IOTA[:n]
+#: One set's walk: ``(row, positions in the batch, tags)``, in program order.
+Walk = Tuple[int, List[int], List[int]]
 
 
-def occurrence_ranks(values: np.ndarray) -> np.ndarray:
-    """Rank of each element among equal elements, in array order.
+def _group(sets: List[int], tags: List[int]) -> List[Walk]:
+    """Split a stream into per-set walks, in order of first appearance."""
+    walks = {}
+    for at, (row, tag) in enumerate(zip(sets, tags)):
+        walk = walks.get(row)
+        if walk is None:
+            walk = walks[row] = (row, [], [])
+        walk[1].append(at)
+        walk[2].append(tag)
+    return list(walks.values())
 
-    ``occurrence_ranks([5, 3, 5, 5, 3]) == [0, 0, 1, 2, 1]``.  Used to
-    split a batch into rounds of distinct-set accesses.
+
+class WalkPlan(NamedTuple):
+    """State-independent walk layout of one access stream.
+
+    Built by :meth:`LruTagStore.plan_walk`; the per-access arrays are in
+    program order.
     """
-    n = values.size
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    order = np.argsort(values, kind="stable")
-    sorted_values = values[order]
-    positions = np.arange(n, dtype=np.int64)
-    group_start = np.zeros(n, dtype=np.int64)
-    new_group = sorted_values[1:] != sorted_values[:-1]
-    group_start[1:] = np.where(new_group, positions[1:], 0)
-    group_start = np.maximum.accumulate(group_start)
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[order] = positions - group_start
-    return ranks
+
+    #: Set row of each access.
+    sets: np.ndarray
+    #: Tag of each access, as a column that broadcasts against its row.
+    tags: np.ndarray
+    #: ``arange(count)``: picks each access's matched way out of its row
+    #: (cheaper than an ``any`` reduction over ``ways``-wide rows).
+    index: np.ndarray
+    #: Position of each access in its set's walk (its age offset).
+    steps: np.ndarray
+    #: Index into ``walks`` of each access's set.
+    slots: np.ndarray
+    walks: List[Walk]
+    #: Length of the longest walk: the ticks one pass consumes.
+    longest: int
+    #: Whether the ``(set, tag)`` pairs are distinct.  Only then may the
+    #: age scatter run: numpy leaves the order of repeated fancy-index
+    #: writes undefined.
+    distinct: bool
 
 
 class LruTagStore:
@@ -79,8 +98,7 @@ class LruTagStore:
 
     Validity is encoded in the tag matrix itself: real tags are physical
     addresses shifted right, hence always >= 0, so ``_INVALID`` (-1) can
-    never collide with a resident line.  This keeps the hot loop to one
-    fancy-indexed read of ``_tags`` per round.
+    never collide with a resident line.
     """
 
     __slots__ = ("num_sets", "ways", "_tags", "_age", "_tick")
@@ -105,101 +123,111 @@ class LruTagStore:
         arrays: whether each access hit, and whether it evicted a valid
         line (a fill into an invalid way is a miss without an eviction).
         """
-        n = set_indices.size
-        hits = np.zeros(n, dtype=bool)
-        evictions = np.zeros(n, dtype=bool)
-        if n == 0:
-            return hits, evictions
-        if n <= 2 * self.ways:
-            # Small burst (one or two traversals' worth): the rounds
-            # would be nearly as numerous as the accesses, so a direct
-            # scalar walk beats the array machinery.
-            for at, (row, tag) in enumerate(
-                zip(set_indices.tolist(), tags.tolist())
-            ):
-                hit, evicted = self.access_one(row, tag)
-                hits[at] = hit
-                evictions[at] = evicted is not None
-            return hits, evictions
-        ranks = occurrence_ranks(set_indices)
-        for rank in range(int(ranks.max()) + 1):
-            sel = np.nonzero(ranks == rank)[0]
-            self._access_round(sel, set_indices[sel], tags[sel], hits, evictions)
-        return hits, evictions
+        count = set_indices.size
+        hits = [False] * count
+        evictions = [False] * count
+        if count:
+            walks = _group(set_indices.tolist(), tags.tolist())
+            tick = self._tick
+            self._tick = tick + max(len(walk[1]) for walk in walks)
+            self._walk(walks, tick, hits, evictions)
+        return np.array(hits, dtype=bool), np.array(evictions, dtype=bool)
 
-    def plan_rounds(
-        self, set_indices: np.ndarray, tags: np.ndarray
-    ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Precompute the round decomposition of one access stream.
+    def plan_walk(self, set_indices: np.ndarray, tags: np.ndarray) -> WalkPlan:
+        """Precompute the walk layout of one access stream.
 
-        The split into rounds of distinct-set accesses depends only on the
-        (set, tag) layout of the batch, not on cache state, so callers
-        that replay the same stream every sweep (a prober epoch) can build
-        the ``(sel, rows, wanted)`` triples once and feed them to
-        :meth:`access_lines_planned`.
+        The split into per-set walks depends only on the ``(set, tag)``
+        layout of the batch, not on cache state, so callers that replay
+        the same stream every sweep (a prober epoch) build it once and
+        feed it to :meth:`access_lines_planned`.
         """
-        rounds: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        if set_indices.size == 0:
-            return rounds
-        ranks = occurrence_ranks(set_indices)
-        for rank in range(int(ranks.max()) + 1):
-            sel = np.nonzero(ranks == rank)[0]
-            rounds.append((sel, set_indices[sel], tags[sel]))
-        return rounds
+        walks = _group(set_indices.tolist(), tags.tolist())
+        count = set_indices.size
+        steps = [0] * count
+        slots = [0] * count
+        distinct = True
+        for slot, (_row, positions, walk_tags) in enumerate(walks):
+            for step, at in enumerate(positions):
+                steps[at] = step
+                slots[at] = slot
+            distinct = distinct and len(set(walk_tags)) == len(walk_tags)
+        return WalkPlan(
+            sets=set_indices,
+            tags=tags[:, None],
+            index=np.arange(count),
+            steps=np.array(steps, dtype=np.int64),
+            slots=np.array(slots, dtype=np.int64),
+            walks=walks,
+            longest=max((len(walk[1]) for walk in walks), default=0),
+            distinct=distinct,
+        )
 
-    def access_lines_planned(
-        self, rounds: List[Tuple[np.ndarray, np.ndarray, np.ndarray]], n: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`access_lines` with a precomputed round decomposition.
+    def access_lines_planned(self, plan: WalkPlan) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`access_lines` over a precomputed walk layout.
 
         State transitions are identical to the unplanned walk over the
-        same stream; only the input bookkeeping is hoisted out.
+        same stream.
         """
-        hits = np.zeros(n, dtype=bool)
-        evictions = np.zeros(n, dtype=bool)
-        for sel, rows, wanted in rounds:
-            self._access_round(sel, rows, wanted, hits, evictions)
+        count = plan.sets.size
+        tick = self._tick
+        self._tick = tick + plan.longest
+        evictions = np.zeros(count, dtype=bool)
+        if not plan.distinct:
+            hits = np.zeros(count, dtype=bool)
+            self._walk(plan.walks, tick, hits, evictions)
+            return hits, evictions
+        match = self._tags[plan.sets] == plan.tags
+        way = match.argmax(axis=1)
+        hits = match[plan.index, way]
+        if hits.all():
+            self._age[plan.sets, way] = tick + plan.steps
+            return hits, evictions
+        missed = np.zeros(len(plan.walks), dtype=bool)
+        missed[plan.slots[~hits]] = True
+        settled = ~missed[plan.slots]
+        self._age[plan.sets[settled], way[settled]] = tick + plan.steps[settled]
+        walks = plan.walks
+        self._walk(
+            [walks[slot] for slot in np.flatnonzero(missed).tolist()],
+            tick, hits, evictions,
+        )
         return hits, evictions
 
-    def _access_round(
-        self,
-        sel: np.ndarray,
-        rows: np.ndarray,
-        wanted: np.ndarray,
-        hits: np.ndarray,
-        evictions: np.ndarray,
-    ) -> None:
-        """One round of distinct-set lookups-and-fills (shared core).
+    def _walk(self, walks: List[Walk], tick: int, hits, evictions) -> None:
+        """Run each set's walk on list copies of its row (shared core).
 
-        The hit way doubles as the hit test (``argmax`` of the match row
-        picks the matching way when there is one, and ``match`` at that
-        way says whether there was), so the all-hit steady state -- a
-        warm probe sweep -- settles in seven array ops.
+        Writes every access's hit flag into ``hits`` and marks evicting
+        accesses in ``evictions`` (lists or bool arrays); each row goes
+        back to the matrices in one assignment.  Membership tests, not
+        ``try``/``except``, find the way: a walked set usually misses in
+        a cascade, and a raised ``ValueError`` costs more than a scan.
         """
-        tag_rows = self._tags[rows]
-        match = tag_rows == wanted[:, None]
-        way = match.argmax(axis=1)
-        hit = match[_iota(rows.size), way]
-        hits[sel] = hit
-        tick = self._tick
-        self._tick = tick + 1
-        if hit.all():
-            self._age[rows, way] = tick
-            return
-        if hit.any():
-            self._age[rows[hit], way[hit]] = tick
-        miss = ~hit
-        miss_rows = rows[miss]
-        miss_invalid = tag_rows[miss] == _INVALID
-        has_free = miss_invalid.any(axis=1)
-        free_way = miss_invalid.argmax(axis=1)
-        lru_way = np.where(
-            miss_invalid, _AGE_MAX, self._age[miss_rows]
-        ).argmin(axis=1)
-        fill_way = np.where(has_free, free_way, lru_way)
-        evictions[sel[miss]] = ~has_free
-        self._tags[miss_rows, fill_way] = wanted[miss]
-        self._age[miss_rows, fill_way] = tick
+        tags_matrix = self._tags
+        age_matrix = self._age
+        for row, positions, walk_tags in walks:
+            row_tags = tags_matrix[row].tolist()
+            ages = age_matrix[row].tolist()
+            filled = False
+            age = tick
+            for at, tag in zip(positions, walk_tags):
+                if tag in row_tags:
+                    way = row_tags.index(tag)
+                    hits[at] = True
+                else:
+                    hits[at] = False
+                    if _INVALID in row_tags:
+                        way = row_tags.index(_INVALID)
+                    else:
+                        # All ways valid: evict the first-minimum age.
+                        way = ages.index(min(ages))
+                        evictions[at] = True
+                    row_tags[way] = tag
+                    filled = True
+                ages[way] = age
+                age += 1
+            if filled:
+                tags_matrix[row] = row_tags
+            age_matrix[row] = ages
 
     # ------------------------------------------------------------------
     # Scalar access (kept for the single-word path and maintenance ops)

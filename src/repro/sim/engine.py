@@ -70,6 +70,10 @@ class EngineStats:
     epoch_bursts: int = 0
     epoch_accesses: int = 0
     scalar_fallbacks: int = 0
+    #: L2 access plans the system's epoch plan cache built: one per
+    #: prober block per recording when the cache holds, more when it
+    #: silently thrashes.
+    plan_builds: int = 0
     #: Trace events lost to ring overwrite while a tracer was attached
     #: (instrumentation overhead the trace itself cannot show) -- updated
     #: at the end of every :meth:`Engine.run` window.
@@ -119,6 +123,7 @@ class EngineStats:
                 self.epoch_accesses / self.epochs if self.epochs else 0.0
             ),
             "scalar_fallbacks": self.scalar_fallbacks,
+            "plan_builds": self.plan_builds,
             "trace_dropped": self.trace_dropped,
             "op_counts": dict(self.op_counts),
         }
@@ -132,6 +137,7 @@ class EngineStats:
         self.epoch_bursts = 0
         self.epoch_accesses = 0
         self.scalar_fallbacks = 0
+        self.plan_builds = 0
         self.trace_dropped = 0
         self.op_counts.clear()
 
@@ -272,6 +278,7 @@ class Engine:
         metrics = self.metrics
         profiler = self.profiler
         started_at = self.now
+        plans_before = self.system.plan_builds
         wall_start = time.perf_counter()
         inf = float("inf")
         try:
@@ -376,6 +383,7 @@ class Engine:
         finally:
             stats.wall_seconds += time.perf_counter() - wall_start
             stats.sim_cycles += self.now - started_at
+            stats.plan_builds += self.system.plan_builds - plans_before
             if tracer is not None:
                 stats.trace_dropped = tracer.events.overwritten
             if metrics is not None:

@@ -180,6 +180,19 @@ def test_plan_cache_invalidated_by_page_remap():
     assert not np.array_equal(plan_after.paddrs, paddrs_before)
 
 
+def test_full_box_recording_builds_each_block_plan_once():
+    """A fig11 capture (full DGX-1, 128 monitored sets in 16-set blocks)
+    re-yields each block's sweep burst every sweep while the victim's
+    one-shot bursts churn the plan cache; each block's L2 access plan is
+    still built exactly once, and the engine stats say so."""
+    rt = Runtime(DGXSpec.dgx1(), seed=0)
+    prober = MemorygramProber(rt)
+    prober.setup(num_sets=128)
+    before = rt.engine.stats.snapshot()["plan_builds"]
+    prober.record(make_workload("blackscholes", scale=0.25, seed=0))
+    assert rt.engine.stats.snapshot()["plan_builds"] - before == 128 // 16
+
+
 # ----------------------------------------------------------------------
 # Raw epoch service: fused small-burst loop vs the scalar oracle
 # ----------------------------------------------------------------------

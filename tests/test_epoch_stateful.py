@@ -117,7 +117,8 @@ class EpochScalarEquivalence(RuleBasedStateMachine):
     def probe_burst(self, data):
         """One multi-set burst: AccessEpoch vs ReadClock + ProbeEpoch."""
         pair, lines = data.draw(st.sampled_from(self.buffers))
-        span = data.draw(st.integers(2, 6), label="span")
+        # A group spans consecutive lines, so it must fit in the buffer.
+        span = data.draw(st.integers(2, min(6, lines)), label="span")
         num_groups = data.draw(st.integers(1, 4), label="groups")
         group_starts = data.draw(
             st.lists(

@@ -14,12 +14,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import find, settings, strategies as st
+from hypothesis.errors import NoSuchExample
 
 from repro.config import CacheSpec, DGXSpec
 from repro.hw.cache import L2Cache, VectorL2Cache, make_l2
 from repro.hw.occupancy import multi_server_waits, single_server_waits
-from repro.hw.replacement import make_set
-from repro.hw.tagstore import LruTagStore, occurrence_ranks
+from repro.hw.replacement import LruSet, make_set
+from repro.hw.tagstore import LruTagStore
 from repro.runtime.api import Runtime
 from repro.sim.ops import Access, ProbeEpoch, ProbeSet
 
@@ -74,12 +76,6 @@ def test_multi_server_waits_matches_least_busy_lane_loop():
         assert np.allclose(new_lanes, ref_lanes)
 
 
-def test_occurrence_ranks():
-    values = np.array([5, 3, 5, 5, 3, 9])
-    assert occurrence_ranks(values).tolist() == [0, 0, 1, 2, 1, 0]
-    assert occurrence_ranks(np.array([], dtype=np.int64)).size == 0
-
-
 # ----------------------------------------------------------------------
 # Unit level: LruTagStore vs the scalar LruSet, interleaved batch/scalar
 # ----------------------------------------------------------------------
@@ -111,6 +107,109 @@ def test_tagstore_matches_lru_sets():
                 assert store.invalidate(s, t) == sets[s].invalidate(t)
         for s in range(num_sets):
             assert store.resident_tags(s) == sets[s].resident_tags()
+
+
+# ----------------------------------------------------------------------
+# Unit level: whole-burst programs vs LruSet, shrunk to a minimal burst
+# ----------------------------------------------------------------------
+_SETS, _WAYS, _TAGS = 4, 4, 9
+
+# Up to 80 accesses over 4 sets of 4 ways with 9 tags: repeated (set, tag)
+# pairs and walks longer than ``ways`` are the norm, not the exception.
+_burst = st.lists(
+    st.tuples(st.integers(0, _SETS - 1), st.integers(0, _TAGS - 1)),
+    min_size=1,
+    max_size=80,
+)
+_step = st.one_of(
+    st.tuples(st.just("lines"), _burst),
+    st.tuples(st.just("plan"), _burst),
+    # Replaying a planned burst whose lines are still resident takes the
+    # planned path's all-resident age scatter.
+    st.tuples(st.just("replay"), st.integers(0, 7)),
+    st.tuples(
+        st.just("invalidate"),
+        st.integers(0, _SETS - 1),
+        st.integers(0, _TAGS - 1),
+    ),
+    st.tuples(st.just("reset")),
+)
+_programs = st.lists(_step, min_size=1, max_size=12)
+
+
+def _diverges(program) -> bool:
+    """Run ``program`` on a tag store and on LruSets; True on any mismatch."""
+    store = LruTagStore(_SETS, _WAYS)
+    ref = [LruSet(_WAYS) for _ in range(_SETS)]
+    plans = []
+    for step in program:
+        kind = step[0]
+        if kind == "invalidate":
+            _kind, s, t = step
+            if store.invalidate(s, t) != ref[s].invalidate(t):
+                return True
+        elif kind == "reset":
+            store.reset()
+            ref = [LruSet(_WAYS) for _ in range(_SETS)]
+        else:
+            if kind == "replay":
+                if not plans:
+                    continue
+                pairs, plan = plans[step[1] % len(plans)]
+            else:
+                pairs = step[1]
+                set_idx = np.array([s for s, _t in pairs], dtype=np.int64)
+                tags = np.array([t for _s, t in pairs], dtype=np.int64)
+                plan = None
+                if kind == "plan":
+                    plan = store.plan_walk(set_idx, tags)
+                    plans.append((pairs, plan))
+            if plan is None:
+                hits, evictions = store.access_lines(set_idx, tags)
+            else:
+                hits, evictions = store.access_lines_planned(plan)
+            expected = [ref[s].access(t) for s, t in pairs]
+            if hits.tolist() != [hit for hit, _evicted in expected]:
+                return True
+            if evictions.tolist() != [ev is not None for _hit, ev in expected]:
+                return True
+        if any(store.resident_tags(s) != ref[s].resident_tags() for s in range(_SETS)):
+            return True
+    return False
+
+
+def test_burst_walks_match_lru_sets():
+    """No program of bursts, plan replays, invalidations and resets makes
+    the tag store diverge from LruSet; a divergence is shrunk to the
+    minimal program that shows it."""
+    try:
+        program = find(
+            _programs,
+            _diverges,
+            settings=settings(max_examples=400, database=None),
+        )
+    except NoSuchExample:
+        return
+    pytest.fail(f"tag store diverges from LruSet; minimal program: {program!r}")
+
+
+def test_planned_replay_of_resident_lines_reorders_recency():
+    """A replayed plan over resident lines (the age-scatter branch) hits
+    everywhere and leaves each set in the order its walk touched them."""
+    store = LruTagStore(_SETS, _WAYS)
+    # Ways 0-2 of set 0 hold 7, 6, 5: way order is the reverse of the
+    # walk order below, so equal ages would show up as [7, 6, 5].
+    store.access_lines(
+        np.array([0, 0, 0, 1], dtype=np.int64), np.array([7, 6, 5, 9], dtype=np.int64)
+    )
+    plan = store.plan_walk(
+        np.array([0, 1, 0, 0], dtype=np.int64), np.array([5, 9, 6, 7], dtype=np.int64)
+    )
+    assert plan.distinct and plan.longest == 3
+    hits, evictions = store.access_lines_planned(plan)
+    assert hits.all() and not evictions.any()
+    assert store.resident_tags(0) == [5, 6, 7]
+    assert store.resident_tags(1) == [9]
 
 
 # ----------------------------------------------------------------------
@@ -184,7 +283,8 @@ def _twin_runtimes(seed, hashed):
 def _random_batches(rng, num_lines, wpl, total_batches):
     batches = []
     for _ in range(total_batches):
-        size = rng.choice([1, 1, 4, 8, 16, 24])
+        # 32 and up take access_batch's vectorized branch.
+        size = rng.choice([1, 1, 4, 8, 16, 24, 32, 48, 64])
         batches.append(
             [rng.randrange(num_lines) * wpl for _ in range(size)]
         )
