@@ -51,7 +51,7 @@ __all__ = [
 #: Bump when the checkpoint contents change shape (new pickle layout, new
 #: simulator state that must be part of a checkpoint): old entries then
 #: miss on key instead of resurrecting stale state.
-CACHE_SCHEMA_VERSION = 3
+CACHE_SCHEMA_VERSION = 4
 
 CACHE_ENV_VAR = "REPRO_CACHE_DIR"
 

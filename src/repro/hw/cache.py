@@ -179,6 +179,21 @@ class VectorL2Cache:
                 folded >>= addr.set_bits
         return index
 
+    def decode(self, paddrs: List[int]) -> Tuple[List[int], List[int]]:
+        """:meth:`set_indices` and tags of a short burst, as plain lists.
+
+        The narrow-burst core's decode: below a few dozen lines a list
+        comprehension is cheaper than the array round trip.
+        """
+        addr = self.addr
+        if self.spec.index_hashing:
+            sets = [addr.set_index(paddr) for paddr in paddrs]
+        else:
+            line_bits, set_mask = addr.line_bits, addr.set_mask
+            sets = [(paddr >> line_bits) & set_mask for paddr in paddrs]
+        tag_shift = addr.tag_shift
+        return sets, [paddr >> tag_shift for paddr in paddrs]
+
     def access_lines(
         self, paddrs: np.ndarray, stamps: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -81,7 +81,7 @@ class FabricFlow:
 
     __slots__ = (
         "inter", "src", "dst", "owner", "edges", "keys", "lanes",
-        "serialization", "hop_pad", "hops", "wait_acc", "count_acc",
+        "serialization", "hop_pad", "hops", "stalls", "count_acc",
         "token",
     )
 
@@ -107,7 +107,7 @@ class FabricFlow:
         self.serialization = tuple(float(s) for s in serialization)
         self.hops = hops
         self.hop_pad = (hops - 1) * inter.spec.timing.per_extra_hop
-        self.wait_acc = [0.0] * hops
+        self.stalls = [[] for _ in range(hops)]
         self.count_acc = 0
         self.token = inter._state_token()
 
@@ -243,13 +243,15 @@ class FabricFlow:
         """Charge one transfer on the cached route; returns extra cycles.
 
         The fused small-burst walk: :meth:`Interconnect.transfer`'s lane
-        arithmetic with counters accumulated on the flow (flushed once
-        per burst by :meth:`flush_counters`) and no per-transfer metric
-        or tracer emission -- the fused core bypasses those by design.
+        arithmetic with the transfer count and each hop's nonzero waits
+        kept on the flow and folded in once per burst by
+        :meth:`flush_counters`.  No per-transfer tracer event: the fused
+        core calls :meth:`Interconnect.transfer` instead when one is
+        attached.
         """
         extra = 0.0
         clock = now
-        wait_acc = self.wait_acc
+        stalls = self.stalls
         serialization = self.serialization
         lanes_by_hop = self.lanes
         for hop in range(self.hops):
@@ -257,26 +259,45 @@ class FabricFlow:
             ser = serialization[hop]
             lane = least_busy_lane(lanes)
             busy = lanes[lane]
-            wait = busy - clock if busy > clock else 0.0
+            if busy > clock:
+                wait = busy - clock
+                stalls[hop].append(wait)
+            else:
+                wait = 0.0
             lanes[lane] = clock + wait + ser
-            wait_acc[hop] += wait
             extra += wait
             clock += wait + ser
         self.count_acc += 1
         return extra + self.hop_pad
 
     def flush_counters(self) -> None:
-        """Fold accumulated :meth:`advance_one` work into the counters."""
+        """Fold accumulated :meth:`advance_one` work into the counters.
+
+        Queued cycles are added wait by wait, in transfer order, so they
+        equal the per-transfer sums of :meth:`Interconnect.transfer` bit
+        for bit.  With a metrics registry attached, each hop that queued
+        reports its wait sum and stalled-transfer count under its own
+        link key -- the per-hop accounting of :meth:`advance_batch_small`.
+        """
         count = self.count_acc
         if not count:
             return
         inter = self.inter
-        wait_acc = self.wait_acc
+        metrics = inter.metrics
         for hop, edge in enumerate(self.edges):
             inter._transfers[edge] += count
-            inter._queued_cycles[edge] += wait_acc[hop]
             inter._busy_cycles[edge] += self.serialization[hop] * count
-            wait_acc[hop] = 0.0
+            waits = self.stalls[hop]
+            if waits:
+                queued = inter._queued_cycles[edge]
+                hop_wait = 0.0
+                for wait in waits:
+                    queued += wait
+                    hop_wait += wait
+                inter._queued_cycles[edge] = queued
+                if metrics is not None:
+                    metrics.count_stall(self.keys[hop], hop_wait, events=len(waits))
+                waits.clear()
         self.count_acc = 0
 
 
@@ -291,9 +312,9 @@ class Interconnect:
         self.tracer = None
         #: Nullable aggregated-metrics hook
         #: (:class:`repro.telemetry.metrics.AttackMetrics`): stall counts
-        #: pushed when transfers queue; lifetime totals are *pulled* from
-        #: :meth:`counters_snapshot` at export (the fused small-burst core
-        #: bypasses these calls by design).
+        #: pushed when transfers queue (per burst and hop by the cached
+        #: flows); lifetime totals are *pulled* from
+        #: :meth:`counters_snapshot` at export.
         self.metrics = None
         #: Arm switch for the fabric hot path: the scalar reference arm
         #: (``l2_backend == "scalar"``) drives :meth:`transfer_batch`

@@ -79,6 +79,10 @@ class SMArray:
         for index, sm in enumerate(self._sms):
             if sm.shared_free < shared_mem or sm.block_slots_free <= 0:
                 continue
+            if not sm.blocks:
+                # An empty SM has the smallest key the scan can still
+                # meet, so stop here: on an idle GPU that is SM 0.
+                return index
             key = (len(sm.blocks), index)
             if best is None or key < best:
                 best = key

@@ -33,6 +33,26 @@ __all__ = ["MultiGPUSystem"]
 #: victim bursts that fall between two sweeps of one block.
 _EPOCH_PLAN_CAPACITY = 128
 
+#: The width gate's floor and ratio (see :func:`_is_wide`).
+_WIDE_MIN = 32
+_WIDE_RATIO = 12
+
+
+def _is_wide(count: int, longest: int) -> bool:
+    """The width gate shared by :meth:`MultiGPUSystem.access_batch` and
+    :meth:`MultiGPUSystem.service_burst`.
+
+    On a :class:`VectorL2Cache` home a burst of ``count`` accesses whose
+    longest per-set walk is ``longest`` takes the array path only when it
+    has at least ``_WIDE_MIN`` accesses and at least ``_WIDE_RATIO`` times
+    as many accesses as that walk.  Anything narrower -- a covert
+    prime/probe, an Algorithm-1 discovery chase over a few sets -- has too
+    few accesses or walks too long to amortize the array ops, and takes the
+    fused core.  Below the floor the answer never depends on ``longest``,
+    so callers skip working it out there.
+    """
+    return count >= _WIDE_MIN and count >= _WIDE_RATIO * longest
+
 
 class _EpochPlan:
     """Precomputed layout of one ProbeEpoch's flattened access stream.
@@ -54,7 +74,7 @@ class _EpochPlan:
 
     __slots__ = (
         "buffer", "sets", "counts", "offsets", "flat", "paddrs",
-        "positions", "_paddr_list", "cache_plan", "cache_plan_l2",
+        "_paddr_list", "cache_plan", "cache_plan_l2",
         "_small_plan", "_small_plan_l2",
     )
 
@@ -82,7 +102,6 @@ class _EpochPlan:
         else:
             self.flat = np.empty(0, dtype=np.int64)
             self.paddrs = np.empty(0, dtype=np.int64)
-        self.positions = np.arange(self.paddrs.size, dtype=np.float64)
 
     def paddr_list(self):
         """Flat physical addresses as a Python list (scalar-core fuel)."""
@@ -91,31 +110,14 @@ class _EpochPlan:
         return self._paddr_list
 
     def small_plan(self, l2: VectorL2Cache):
-        """Decoded ``(runs, tags, paddrs)`` layout for the fused core.
+        """Decoded ``(sets, tags, paddrs)`` lists for the fused core.
 
-        ``runs`` is the stream's maximal same-set run decomposition --
-        ``(set_index, bank, start, stop)`` per run -- so a prime/probe
-        burst (``ways`` consecutive accesses to one set) is serviced
-        against Python-local row state with one writeback per run.  All
-        of it is geometry-pure, so it is hoisted out of the per-access
-        loop and cached per home L2 like ``cache_plan``.
+        The decode is geometry-pure, so it is hoisted out of the
+        per-access loop and cached per home L2 like ``cache_plan``.
         """
         if self._small_plan_l2 is not l2:
-            sets = l2.set_indices(self.paddrs)
-            tags = self.paddrs >> l2.addr.tag_shift
-            sets_list = sets.tolist()
-            bank_mask = l2._bank_mask
-            runs = []
-            start = 0
-            n = len(sets_list)
-            while start < n:
-                set_index = sets_list[start]
-                stop = start + 1
-                while stop < n and sets_list[stop] == set_index:
-                    stop += 1
-                runs.append((set_index, set_index & bank_mask, start, stop))
-                start = stop
-            self._small_plan = (runs, tags.tolist(), self.paddr_list())
+            paddrs = self.paddr_list()
+            self._small_plan = (*l2.decode(paddrs), paddrs)
             self._small_plan_l2 = l2
         return self._small_plan
 
@@ -358,10 +360,14 @@ class MultiGPUSystem:
 
         Semantically identical to looping :meth:`access_word`, but the hot
         constants are hoisted and no per-access result objects are built.
-        With a vectorized L2 backend the whole burst is serviced with
-        array operations (one jitter draw, one tag-matrix pass, one
-        occupancy scan per resource) instead of a per-access Python loop.
-        Returns ``(latencies, hits, total_latency, remote)``.
+        On a :class:`VectorL2Cache` home the burst is decoded once per
+        call and the width gate (:func:`_is_wide`) picks the core: wide
+        bursts are serviced with array operations (one jitter draw, one
+        tag-matrix pass, one occupancy scan per resource), the rest --
+        every discovery chase and covert probe -- by the fused
+        narrow-burst core that :meth:`service_burst` shares.  Neither
+        builds an epoch plan: a discovery chase is a fresh index list on
+        every call.  Returns ``(latencies, hits, total_latency, remote)``.
         """
         home = buffer.device_id
         remote = exec_gpu != home
@@ -377,44 +383,42 @@ class MultiGPUSystem:
         if count == 0:
             return [], [], 0.0, remote
 
-        # Below ~32 accesses the array machinery costs more than it saves
-        # (a covert-channel probe is 4-16 lines); the scalar core drives
-        # the same cache state through VectorL2Cache.access, so the
-        # backends stay exactly equivalent either way.
-        if isinstance(home_gpu.l2, VectorL2Cache) and count >= 32:
-            index_array = np.asarray(indices, dtype=np.int64)
-            paddrs = buffer.paddrs(index_array)
-            stamps = self._issue_stamps(count, now, parallel, issue_gap)
-            latencies, hits, misses, evictions = self._service_batch_vector(
-                home_gpu, exec_gpu, home, remote, paddrs, stamps, process.pid
-            )
-            latencies_out = latencies.tolist()
-            hits_out = hits.tolist()
-            if parallel:
-                total = float(
-                    np.max(
-                        np.arange(count, dtype=np.float64) * issue_gap + latencies
-                    )
-                )
-            else:
-                total = float(np.cumsum(latencies)[-1])
-        else:
-            if parallel:
-                stamps = [now + at * issue_gap for at in range(count)]
-            else:
-                stamps = [float(now)] * count
+        l2 = home_gpu.l2
+        owner = process.pid
+        if not isinstance(l2, VectorL2Cache):
+            # Non-LRU or partitioned home: the reference per-access loop
+            # is the only core that speaks every replacement policy.
             paddrs = [buffer.paddr(index) for index in indices]
-            latencies_out, hits_out, misses, evictions = self._service_batch_scalar(
-                home_gpu, exec_gpu, home, remote, paddrs, stamps, process.pid
+            latencies, hits, misses, evictions, total = self._service_batch_scalar(
+                home_gpu, exec_gpu, home, remote, paddrs,
+                now, parallel, issue_gap, owner,
             )
-            if parallel:
-                total = max(
-                    at * issue_gap + lat for at, lat in enumerate(latencies_out)
+        elif count < _WIDE_MIN:
+            # Narrow whatever its walks: plain-Python decoding is cheaper
+            # than the array round trip for so few lines.
+            paddrs = [buffer.paddr(index) for index in indices]
+            sets, tags = l2.decode(paddrs)
+            latencies, hits, misses, evictions, total = self._service_burst_small(
+                home_gpu, exec_gpu, home, remote, sets, tags, paddrs,
+                now, parallel, issue_gap, owner,
+            )
+        else:
+            paddrs = buffer.paddrs(np.asarray(indices, dtype=np.int64))
+            sets = l2.set_indices(paddrs)
+            if _is_wide(count, int(np.bincount(sets).max())):
+                latencies, hits, misses, evictions, total = self._service_batch_vector(
+                    home_gpu, exec_gpu, home, remote, paddrs,
+                    now, parallel, issue_gap, owner,
                 )
+                latencies, hits = latencies.tolist(), hits.tolist()
             else:
-                total = float(sum(latencies_out))
+                latencies, hits, misses, evictions, total = self._service_burst_small(
+                    home_gpu, exec_gpu, home, remote, sets.tolist(),
+                    (paddrs >> l2.addr.tag_shift).tolist(), paddrs.tolist(),
+                    now, parallel, issue_gap, owner,
+                )
         self._count_batch(home_gpu, exec_gpu, remote, count, misses, evictions, now)
-        return latencies_out, hits_out, total, remote
+        return latencies, hits, total, remote
 
     def access_epoch(
         self,
@@ -455,17 +459,17 @@ class MultiGPUSystem:
         count = int(counts.sum())
         if count == 0:
             return EpochResult(remote=remote)
-        stamps = self._issue_stamps(count, now, parallel, issue_gap)
 
         if isinstance(home_gpu.l2, VectorL2Cache):
-            latencies, hits, misses, evictions = self._service_batch_vector(
-                home_gpu, exec_gpu, home, remote, plan.paddrs, stamps, process.pid,
+            latencies, hits, misses, evictions, total = self._service_batch_vector(
+                home_gpu, exec_gpu, home, remote, plan.paddrs,
+                now, parallel, issue_gap, process.pid,
                 cache_plan=self._cache_plan(plan, home_gpu.l2),
             )
         else:
-            paddrs = [buffer.paddr(int(index)) for index in plan.flat]
-            lat_list, hit_list, misses, evictions = self._service_batch_scalar(
-                home_gpu, exec_gpu, home, remote, paddrs, stamps.tolist(), process.pid
+            lat_list, hit_list, misses, evictions, total = self._service_batch_scalar(
+                home_gpu, exec_gpu, home, remote, plan.paddr_list(),
+                now, parallel, issue_gap, process.pid,
             )
             latencies = np.asarray(lat_list)
             hits = np.asarray(hit_list, dtype=bool)
@@ -480,13 +484,11 @@ class MultiGPUSystem:
             set_totals = np.zeros(len(counts), dtype=np.float64)
             set_totals[live] = np.maximum.reduceat(rel_finish, starts_at)
             set_starts = offsets.astype(np.float64) * issue_gap
-            total = float(np.max(positions * issue_gap + latencies))
         else:
             set_totals = np.zeros(len(counts), dtype=np.float64)
             set_totals[live] = np.add.reduceat(latencies, starts_at)
             set_starts = np.zeros(len(counts), dtype=np.float64)
             np.cumsum(set_totals[:-1], out=set_starts[1:])
-            total = float(np.cumsum(latencies)[-1])
 
         self._count_batch(home_gpu, exec_gpu, remote, count, misses, evictions, now)
         bounds = [(int(o), int(o + c)) for o, c in zip(offsets, counts)]
@@ -584,59 +586,33 @@ class MultiGPUSystem:
         if count == 0:
             empty = np.empty(0, dtype=np.float64)
             return empty, np.empty(0, dtype=bool), 0.0, remote, False
-        vector_l2 = isinstance(home_gpu.l2, VectorL2Cache)
-        cache_plan = (
-            self._cache_plan(plan, home_gpu.l2)
-            if vector_l2 and count >= 32
-            else None
-        )
-        if cache_plan is not None and count >= 12 * cache_plan.walk.longest:
-            # Wide bursts only: a same-set-heavy burst (a covert prime is
-            # ``ways`` accesses to each of a handful of sets) has walks
-            # too long for its few sets to amortize the array ops, so it
-            # is better off in the fused per-access loop below.
-            stamps = now + plan.positions * issue_gap if parallel else np.full(
-                count, float(now)
-            )
-            latencies, hits, misses, evictions = self._service_batch_vector(
-                home_gpu, exec_gpu, home, remote, plan.paddrs, stamps,
-                process.pid, cache_plan=cache_plan,
-            )
-            if parallel:
-                total = float(np.max(plan.positions * issue_gap + latencies))
-            else:
-                total = float(np.cumsum(latencies)[-1])
-            scalar_fallback = False
-        elif vector_l2:
-            # Small burst (a covert prime/probe is 4-16 lines): the same
-            # `< 32` routing cutoff as access_batch, but through a fused
-            # per-access loop with the set/tag/bank decode hoisted into
-            # the plan.  Drives identical tag-store, bank, HBM and link
-            # state as the reference loop -- same jitter draw order, same
-            # float expression order -- minus the per-access plumbing.
-            latencies, hits, misses, evictions, total = self._service_burst_small(
-                home_gpu, exec_gpu, home, remote, plan, now, parallel,
-                issue_gap, process.pid,
-            )
-            scalar_fallback = False
-        else:
+        l2 = home_gpu.l2
+        owner = process.pid
+        scalar_fallback = not isinstance(l2, VectorL2Cache)
+        if scalar_fallback:
             # Non-LRU home L2: the reference per-access loop is the only
             # core that speaks every replacement policy.
-            if parallel:
-                stamps_list = [now + at * issue_gap for at in range(count)]
-            else:
-                stamps_list = [float(now)] * count
-            latencies, hits, misses, evictions = self._service_batch_scalar(
+            latencies, hits, misses, evictions, total = self._service_batch_scalar(
                 home_gpu, exec_gpu, home, remote, plan.paddr_list(),
-                stamps_list, process.pid,
+                now, parallel, issue_gap, owner,
             )
-            if parallel:
-                total = max(
-                    at * issue_gap + lat for at, lat in enumerate(latencies)
-                )
-            else:
-                total = float(sum(latencies))
-            scalar_fallback = True
+        elif count >= _WIDE_MIN and _is_wide(
+            count, self._cache_plan(plan, l2).walk.longest
+        ):
+            # The longest walk comes from the cached access plan, which
+            # is worth building only from the gate's floor up.
+            latencies, hits, misses, evictions, total = self._service_batch_vector(
+                home_gpu, exec_gpu, home, remote, plan.paddrs,
+                now, parallel, issue_gap, owner, cache_plan=plan.cache_plan,
+            )
+        else:
+            # Narrow burst (a covert prime/probe is 4-16 lines): the fused
+            # core, fed the plan's cached decode.
+            sets_l, tags_l, paddrs_l = plan.small_plan(l2)
+            latencies, hits, misses, evictions, total = self._service_burst_small(
+                home_gpu, exec_gpu, home, remote, sets_l, tags_l, paddrs_l,
+                now, parallel, issue_gap, owner,
+            )
         self._count_batch(home_gpu, exec_gpu, remote, count, misses, evictions, now)
         return latencies, hits, total, remote, scalar_fallback
 
@@ -823,16 +799,14 @@ class MultiGPUSystem:
         return latencies, total
 
     # ------------------------------------------------------------------
-    # Batch service cores (shared by access_batch and access_epoch)
+    # Batch service cores (shared by access_batch, access_epoch and
+    # service_burst).  Each takes the burst start ``now`` and issue mode,
+    # stamps access ``at`` at ``now + at * issue_gap`` (parallel) or at
+    # ``now`` (sequential), and returns ``(latencies, hits, misses,
+    # evictions, total)``: ``total`` is the slowest ``at * issue_gap +
+    # latency`` in parallel mode and the left-to-right latency sum in
+    # sequential mode.
     # ------------------------------------------------------------------
-    @staticmethod
-    def _issue_stamps(
-        count: int, now: float, parallel: bool, issue_gap: float
-    ) -> np.ndarray:
-        if parallel:
-            return now + np.arange(count, dtype=np.float64) * issue_gap
-        return np.full(count, float(now))
-
     def _service_batch_vector(
         self,
         home_gpu: GPU,
@@ -840,17 +814,25 @@ class MultiGPUSystem:
         home: int,
         remote: bool,
         paddrs: np.ndarray,
-        stamps: np.ndarray,
-        owner: Optional[int] = None,
+        now: float,
+        parallel: bool,
+        issue_gap: float,
+        owner: int,
         cache_plan=None,
     ):
-        """Vectorized service of one batch; returns arrays + counts.
+        """Vectorized service of one batch; latencies and hits as arrays.
 
         ``cache_plan`` (from :meth:`VectorL2Cache.plan_epoch`) skips the
         per-batch walk layout and bank grouping when the caller reuses
         one access stream sweep after sweep.
         """
         timing = self.spec.timing
+        count = paddrs.size
+        if parallel:
+            offsets = np.arange(count, dtype=np.float64) * issue_gap
+            stamps = now + offsets
+        else:
+            stamps = np.full(count, float(now))
         if cache_plan is not None:
             hits, evictions, bank_waits = home_gpu.l2.access_lines_planned(
                 cache_plan, stamps
@@ -859,7 +841,7 @@ class MultiGPUSystem:
             hits, evictions, bank_waits, _sets = home_gpu.l2.access_lines(
                 paddrs, stamps
             )
-        jitter = self._jitter.take(paddrs.size)
+        jitter = self._jitter.take(count)
         if remote:
             hit_base, miss_base = timing.remote_l2_hit, timing.remote_dram
             hit_sigma, miss_sigma = (
@@ -885,7 +867,12 @@ class MultiGPUSystem:
         if self._latency_scale is not None:
             latencies *= self._latency_scale[exec_gpu]
         np.maximum(latencies, 1.0, out=latencies)
-        return latencies, hits, int(missed.sum()), int(evictions.sum())
+        if parallel:
+            total = float(np.max(offsets + latencies))
+        else:
+            # cumsum adds left to right, as the scalar cores do.
+            total = float(np.cumsum(latencies)[-1])
+        return latencies, hits, int(missed.sum()), int(evictions.sum()), total
 
     def _service_batch_scalar(
         self,
@@ -894,10 +881,18 @@ class MultiGPUSystem:
         home: int,
         remote: bool,
         paddrs,
-        stamps,
+        now: float,
+        parallel: bool,
+        issue_gap: float,
         owner: int,
     ):
-        """Reference per-access loop; returns lists + counts."""
+        """Reference per-access loop; latencies and hits as lists.
+
+        Serves only the scalar :class:`~repro.hw.cache.L2Cache` (the pLRU and
+        random ablations, the partitioned defense): a
+        :class:`VectorL2Cache` home always takes the fused core or the
+        array path.
+        """
         timing = self.spec.timing
         cache_access = home_gpu.l2.access
         hbm_occupy = home_gpu.hbm.occupy
@@ -922,7 +917,12 @@ class MultiGPUSystem:
         hits = []
         evictions = 0
         misses = 0
-        for paddr, stamp in zip(paddrs, stamps):
+        total = 0.0
+        now = float(now)
+        stamp = now
+        for at, paddr in enumerate(paddrs):
+            if parallel:
+                stamp = now + at * issue_gap
             outcome = cache_access(paddr, stamp, owner=owner)
             if outcome.hit:
                 latency = hit_base + hit_sigma * jitter_next() + outcome.bank_wait
@@ -944,7 +944,13 @@ class MultiGPUSystem:
                 latency = 1.0
             latencies.append(latency)
             hits.append(outcome.hit)
-        return latencies, hits, misses, evictions
+            if parallel:
+                finish = at * issue_gap + latency
+                if finish > total:
+                    total = finish
+            else:
+                total += latency
+        return latencies, hits, misses, evictions, total
 
     def _service_burst_small(
         self,
@@ -952,36 +958,46 @@ class MultiGPUSystem:
         exec_gpu: int,
         home: int,
         remote: bool,
-        plan: _EpochPlan,
+        sets: List[int],
+        tags: List[int],
+        paddrs: List[int],
         now: float,
         parallel: bool,
         issue_gap: float,
         owner: int,
     ):
-        """Fused per-access loop for sub-threshold epoch bursts.
+        """The fused narrow-burst core behind ``access_batch`` and
+        ``service_burst`` on a :class:`VectorL2Cache` home.
 
         Step-for-step equivalent to :meth:`_service_batch_scalar` over
-        the same stream against a :class:`VectorL2Cache` home -- the
-        tag-store walk, bank occupancy chain, jitter draws, HBM channel
-        occupancy and link transfers all mutate in the reference order,
-        and every latency is assembled with the reference expression --
-        but the per-access set/tag/bank decode comes precomputed from
-        the plan and the ``CacheAccess`` plumbing is inlined away.  The
-        set row's tag list is memoized across the consecutive same-set
-        accesses a prime/probe burst is made of (and kept in sync with
-        fills), where the reference loop re-materializes it per access.
+        the same stream -- the tag-store walk, bank occupancy chain,
+        jitter draws, HBM channel occupancy and link transfers all mutate
+        in the reference order, and every latency is assembled with the
+        reference expression -- but ``sets``/``tags`` come decoded and the
+        ``CacheAccess`` plumbing is inlined away.  Returns ``(latencies,
+        hits, misses, evictions, total)``.
+
+        State is memoized per set, not per same-set run: a discovery chase
+        interleaves its sets, so its runs are one or two lines long.  Each
+        touched set's tag and age rows are copied to lists on first use and
+        each touched bank's busy time to a dict; all of it is written back
+        once when the burst ends.  Nothing else reads the tag store or the
+        banks mid-burst, so the writeback is invisible.  The access at
+        burst position ``at`` gets age ``tick + at`` and the burst advances
+        the tick by its count, exactly as one ``access_one`` per line.
+        Two flags ride with each memoized row: whether it still has an
+        invalid way (a full row skips that scan on every miss) and whether
+        the burst filled it (a row that only hit writes back its ages).
         """
         timing = self.spec.timing
         l2 = home_gpu.l2
         store = l2._store
         tags_matrix = store._tags
         age_matrix = store._age
-        ways = store.ways
         bank_busy = l2._bank_busy
+        bank_mask = l2._bank_mask
         bank_service = l2.spec.bank_service_cycles
         hbm_occupy = home_gpu.hbm.occupy
-        transfer = self.interconnect.transfer
-        jitter_next = self._jitter.next
         if remote:
             hit_base, miss_base = timing.remote_l2_hit, timing.remote_dram
             hit_sigma, miss_sigma = (
@@ -996,101 +1012,107 @@ class MultiGPUSystem:
             if self._latency_scale is None
             else float(self._latency_scale[exec_gpu])
         )
-        runs, tags_l, paddrs_l = plan.small_plan(l2)
-        count = len(paddrs_l)
-        # Mid-sized bursts batch the jitter draws: the pool serves the
-        # same values :meth:`_JitterPool.next` would, in the same order.
-        # Below ~16 accesses the array round-trip costs more than it saves.
-        batched = count >= 16
-        if batched:
-            jitter = self._jitter.take_list(count)
+        count = len(paddrs)
+        # The pool serves the same values one ``next`` per access would.
+        draws = self._jitter.take_list(count)
         # Remote bursts walk the link route through the interconnect's
-        # cached flow (:meth:`Interconnect.route_state`): the route,
-        # per-edge serialization and lane lists are hoisted once per flow
-        # and ``advance_one`` replays :meth:`Interconnect.transfer`'s
-        # exact arithmetic without its per-call route/counter work.
-        # Counters flush once per burst (the batch path's accounting);
-        # with a tracer attached the per-access calls are kept so stall
-        # events stay faithful.
+        # cached flow (:meth:`Interconnect.route_state`): ``advance_one``
+        # replays :meth:`Interconnect.transfer`'s lane arithmetic, and
+        # its counters and stall metrics flush once per burst.  With a
+        # tracer attached the per-access calls are kept so stall events
+        # stay faithful.
         inter = self.interconnect
         inline_link = remote and inter.tracer is None
         if inline_link:
             link_flow = inter.route_state(exec_gpu, home, owner)
             advance_link = link_flow.advance_one
+        elif remote:
+            transfer = inter.transfer
+        rows = {}
+        busy_by_bank = {}
         latencies = []
         hits = []
         misses = 0
         evictions = 0
         total = 0.0
         tick = store._tick
-        now_f = float(now)
-        stamp = now_f
-        # Each run works on Python-local copies of its set row, age row
-        # and bank busy time -- per-access reads and writes land on plain
-        # lists/floats, and the (bitwise round-trip-exact) state writeback
-        # happens once per run, before any later run can observe it.
-        for set_index, bank, start, stop in runs:
-            row_list = tags_matrix[set_index].tolist()
-            ages = age_matrix[set_index].tolist()
-            busy = float(bank_busy[bank])
-            filled = False
-            for at in range(start, stop):
-                if parallel:
-                    stamp = now + at * issue_gap
-                tag = tags_l[at]
-                try:
-                    way = row_list.index(tag)
-                    ages[way] = tick
-                    hit = True
-                except ValueError:
-                    hit = False
-                    try:
-                        way = row_list.index(_INVALID_TAG)
-                    except ValueError:
-                        # All ways valid: evict the first-minimum age,
-                        # exactly the reference loop's LRU scan.
-                        way = min(range(ways), key=ages.__getitem__)
-                        evictions += 1
-                    row_list[way] = tag
-                    ages[way] = tick
-                    filled = True
-                tick += 1
-                wait = busy - stamp if busy > stamp else 0.0
-                busy = stamp + wait + bank_service
-                draw = jitter[at] if batched else jitter_next()
-                if hit:
-                    latency = hit_base + hit_sigma * draw + wait
+        now = float(now)
+        stamp = now
+        for at in range(count):
+            if parallel:
+                stamp = now + at * issue_gap
+            set_index = sets[at]
+            row = rows.get(set_index)
+            if row is None:
+                # [tags, ages, has an invalid way, filled by this burst]
+                row_tags = tags_matrix[set_index].tolist()
+                row = rows[set_index] = [
+                    row_tags,
+                    age_matrix[set_index].tolist(),
+                    _INVALID_TAG in row_tags,
+                    False,
+                ]
+            row_tags, ages, vacant, _filled = row
+            tag = tags[at]
+            # Membership before ``index``, as LruTagStore._walk: a chase
+            # misses in cascades and a raised ValueError costs more.
+            if tag in row_tags:
+                ages[row_tags.index(tag)] = tick + at
+                hit = True
+            else:
+                hit = False
+                if vacant:
+                    way = row_tags.index(_INVALID_TAG)
+                    row_tags[way] = tag
+                    row[2] = _INVALID_TAG in row_tags
                 else:
-                    misses += 1
-                    latency = (
-                        miss_base
-                        + miss_sigma * draw
-                        + wait
-                        + hbm_occupy(paddrs_l[at], stamp)
-                    )
-                if inline_link:
-                    latency += advance_link(stamp)
-                elif remote:
-                    latency += transfer(exec_gpu, home, stamp, owner)[0]
-                if scale != 1.0:
-                    latency *= scale
-                if latency < 1.0:
-                    latency = 1.0
-                latencies.append(latency)
-                hits.append(hit)
-                # Burst total, folded into the loop: same expressions as
-                # ``max(at * issue_gap + lat ...)`` / left-to-right ``sum``.
-                if parallel:
-                    finish = at * issue_gap + latency
-                    if finish > total:
-                        total = finish
-                else:
-                    total += latency
+                    # All ways valid: evict the first-minimum age.
+                    way = ages.index(min(ages))
+                    evictions += 1
+                    row_tags[way] = tag
+                row[3] = True
+                ages[way] = tick + at
+            bank = set_index & bank_mask
+            busy = busy_by_bank.get(bank)
+            if busy is None:
+                busy = float(bank_busy[bank])
+            wait = busy - stamp if busy > stamp else 0.0
+            busy_by_bank[bank] = stamp + wait + bank_service
+            if hit:
+                latency = hit_base + hit_sigma * draws[at] + wait
+            else:
+                misses += 1
+                latency = (
+                    miss_base
+                    + miss_sigma * draws[at]
+                    + wait
+                    + hbm_occupy(paddrs[at], stamp)
+                )
+            if inline_link:
+                latency += advance_link(stamp)
+            elif remote:
+                latency += transfer(exec_gpu, home, stamp, owner)[0]
+            if scale != 1.0:
+                latency *= scale
+            if latency < 1.0:
+                latency = 1.0
+            latencies.append(latency)
+            hits.append(hit)
+            # Burst total, folded into the loop: same expressions as
+            # ``max(at * issue_gap + lat ...)`` / left-to-right ``sum``.
+            if parallel:
+                finish = at * issue_gap + latency
+                if finish > total:
+                    total = finish
+            else:
+                total += latency
+        store._tick = tick + count
+        for set_index, (row_tags, ages, _vacant, filled) in rows.items():
             if filled:
-                tags_matrix[set_index] = row_list
+                tags_matrix[set_index] = row_tags
             age_matrix[set_index] = ages
+        for bank, busy in busy_by_bank.items():
             bank_busy[bank] = busy
-        store._tick = tick
         if inline_link:
             link_flow.flush_counters()
         return latencies, hits, misses, evictions, total

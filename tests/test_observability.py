@@ -23,7 +23,7 @@ from repro.core.covert.encoding import text_to_bits
 from repro.core.covert.resilient import ResilientCovertChannel
 from repro.experiments.executor import ProgressEvent, run_experiments
 from repro.runtime.api import Runtime
-from repro.sim.ops import Sleep
+from repro.sim.ops import ProbeSet, ReadClock, Sleep
 from repro.telemetry import (
     AttackMetrics,
     ChannelHealth,
@@ -249,6 +249,92 @@ class TestAttackMetricsWiring:
         runtime.run_kernel(kernel(), 0, process)
         snap = metrics.registry.snapshot()
         assert snap['chaos_faults_total{kind="l2_flush"}'] == 2
+
+    @pytest.mark.parametrize("parallel", [True, False], ids=["parallel", "sequential"])
+    def test_narrow_burst_stalls_reach_metrics_on_both_backends(self, parallel):
+        """A remote ProbeSet under the width gate runs the fused core (one
+        stall report per hop at flush) on the vectorized backend and one
+        ``Interconnect.transfer`` per line on the scalar one; on the
+        one-hop small box both report the same NVLink stalls."""
+        snaps = []
+        for backend in ("vectorized", "scalar"):
+            rt = Runtime(DGXSpec.small().with_l2_backend(backend), seed=7)
+            assert rt.system.topology.hops(1, 0) == 1
+            process = rt.create_process("prober")
+            rt.enable_peer_access(process, 1, 0)
+            wpl = rt.system.spec.gpu.cache.line_size // 8
+            buf = rt.malloc_lines(process, 0, 24)
+            metrics = attach_metrics(rt)
+
+            indices = [line * wpl for line in range(24)]
+
+            def kernel():
+                yield ProbeSet(buf, indices, parallel=parallel)
+
+            rt.run_kernel(kernel(), 1, process)
+            snaps.append(metrics.registry.snapshot())
+        vec, ref = snaps
+        events = 'nvlink_stall_events_total{link="link0-1"}'
+        cycles = 'nvlink_stall_cycles_total{link="link0-1"}'
+        # 24 transfers on two lanes: the burst queues behind itself.
+        assert ref[events] > 0 and ref[cycles] > 0
+        assert vec[events] == ref[events]
+        assert vec[cycles] == ref[cycles]
+
+    @pytest.mark.parametrize("parallel", [True, False], ids=["parallel", "sequential"])
+    def test_narrow_burst_stalls_split_per_hop_on_two_hop_routes(self, parallel):
+        """Over DGX-2's switch (two hops) the fused core reports each hop's
+        stalls under that hop's link, split exactly as
+        ``Interconnect.transfer_batch`` splits them.  The scalar backend's
+        per-line ``Interconnect.transfer`` puts a transfer's whole wait on
+        the first link as one event; the cycles agree in sum."""
+        spec = DGXSpec.small(num_gpus=8).with_topology("dgx2")
+        first, second = "link1-8", "link0-8"  # GPU 1 -> switch 8 -> GPU 0
+        lines = 24
+
+        def runtime(backend):
+            rt = Runtime(spec.with_l2_backend(backend), seed=7)
+            route = rt.system.topology.path(1, 0)
+            assert len(route) == 2
+            # A slow second hop queues transfers the first one delayed.
+            rt.system.interconnect.degrade_link(route[1], 3.0)
+            return rt, attach_metrics(rt)
+
+        snaps = {}
+        starts = []
+        for backend in ("vectorized", "scalar"):
+            rt, metrics = runtime(backend)
+            process = rt.create_process("prober")
+            rt.enable_peer_access(process, 1, 0)
+            wpl = rt.system.spec.gpu.cache.line_size // 8
+            buf = rt.malloc_lines(process, 0, lines)
+            indices = [line * wpl for line in range(lines)]
+
+            def kernel():
+                starts.append((yield ReadClock()))
+                yield ProbeSet(buf, indices, parallel=parallel)
+
+            rt.run_kernel(kernel(), 1, process)
+            snaps[backend] = metrics.registry.snapshot()
+        # The array path's per-hop accounting, fed the burst's link stamps.
+        rt, metrics = runtime("vectorized")
+        now = starts[0]
+        stamps = now + np.arange(lines) * 4.0 if parallel else np.full(lines, now)
+        rt.system.interconnect.transfer_batch(1, 0, stamps)
+        batch = metrics.registry.snapshot()
+
+        vec, ref = snaps["vectorized"], snaps["scalar"]
+        events = 'nvlink_stall_events_total{link="%s"}'
+        cycles = 'nvlink_stall_cycles_total{link="%s"}'
+        for link in (first, second):
+            assert vec[events % link] > 0
+            assert vec[events % link] == batch[events % link]
+            assert vec[cycles % link] == pytest.approx(batch[cycles % link])
+        assert events % second not in ref
+        assert ref[events % first] == lines - 2  # all but one per lane
+        assert vec[cycles % first] + vec[cycles % second] == pytest.approx(
+            ref[cycles % first]
+        )
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """SM occupancy and the leftover placement policy (Section VI's lever)."""
 
+import random
+
 import pytest
 
 from repro.config import GPUSpec
@@ -74,3 +76,37 @@ class TestLeftoverPolicy:
         assert not sms.can_place(16 * 1024)
         sms.release_block(attack)
         assert sms.can_place(32 * 1024)
+
+
+def _scan_pick(sms, shared_mem):
+    """The least-loaded-first scan over every SM (the reference pick)."""
+    best = None
+    for index, sm in enumerate(sms._sms):
+        if sm.shared_free < shared_mem or sm.block_slots_free <= 0:
+            continue
+        key = (len(sm.blocks), index)
+        if best is None or key < best:
+            best = key
+    return best[1] if best else None
+
+
+def test_random_place_release_program_matches_scan(sms):
+    """Stopping at the first empty SM never changes where a block lands."""
+    rng = random.Random(5)
+    resident = []
+    idle_launches = 0
+    for _ in range(2000):
+        if resident and rng.random() < 0.5:
+            sms.release_block(resident.pop(rng.randrange(len(resident))))
+        else:
+            shared = rng.choice([0, 0, 1024, 16 * 1024, 32 * 1024])
+            idle_launches += not resident
+            expected = _scan_pick(sms, shared)
+            if expected is None:
+                with pytest.raises(LaunchError):
+                    sms.place_block(shared)
+            else:
+                placement = sms.place_block(shared)
+                assert placement.sm_index == expected
+                resident.append(placement)
+    assert idle_launches > 100

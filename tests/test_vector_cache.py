@@ -1,12 +1,12 @@
 """Differential tests pinning the vectorized L2 backend to the scalar one.
 
 The vectorized fast path (``repro.hw.tagstore`` + ``VectorL2Cache`` +
-the batched service core in ``MultiGPUSystem``) must be *semantically
+the batched service cores in ``MultiGPUSystem``) must be *semantically
 identical* to the scalar reference: same hits, same evictions, same
-counter totals, bit-for-bit identical cache state.  Latencies are allowed
-to differ only by float associativity (the batched queue formulas add the
-same terms in a different order), so they are compared with ``allclose``
-while everything discrete is compared exactly.
+counter totals, bit-for-bit identical cache state.  The system-level
+trace differential compares latencies and per-link fabric counters
+exactly; epoch results, whose batched queue formulas may add the same
+terms in a different order, are compared with ``allclose``.
 """
 
 import random
@@ -21,6 +21,7 @@ from repro.config import CacheSpec, DGXSpec
 from repro.hw.cache import L2Cache, VectorL2Cache, make_l2
 from repro.hw.occupancy import multi_server_waits, single_server_waits
 from repro.hw.replacement import LruSet, make_set
+from repro.hw.system import MultiGPUSystem
 from repro.hw.tagstore import LruTagStore
 from repro.runtime.api import Runtime
 from repro.sim.ops import Access, ProbeEpoch, ProbeSet
@@ -291,6 +292,23 @@ def _random_batches(rng, num_lines, wpl, total_batches):
     return batches
 
 
+def _discovery_batches(rng, groups, ways, total_batches):
+    """Algorithm-1-shaped chases: 1-4 interleaved sets, each drawn from a
+    pool of more lines than ``ways`` with repeats, so walks run past the
+    associativity.  Every one of them stays under the width gate."""
+    batches = []
+    for _ in range(total_batches):
+        size = rng.choice([2, 5, 16, 17, 31, 32, 33, 47, 64])
+        pools = [
+            groups[row][: ways + 2]
+            for row in rng.sample(sorted(groups), rng.randint(1, 4))
+        ]
+        batches.append(
+            [rng.choice(pools[at % len(pools)]) for at in range(size)]
+        )
+    return batches
+
+
 def _trace_kernel(buf, batches, parallel, out):
     for batch in batches:
         if len(batch) == 1:
@@ -301,14 +319,40 @@ def _trace_kernel(buf, batches, parallel, out):
             out.append((list(probe.latencies), list(probe.hits)))
 
 
-def _run_trace(rt, remote, parallel, batches, num_lines):
+def _trace_side(rt, remote, num_lines):
+    """Process, issuing GPU and a buffer homed on GPU 0 for a trace run."""
     proc = rt.create_process()
     exec_gpu = 1 if remote else 0
     if remote:
         rt.enable_peer_access(proc, exec_gpu, 0)
-    buf = rt.malloc_lines(proc, 0, num_lines)
-    out = []
-    rt.run_kernel(_trace_kernel(buf, batches, parallel, out), exec_gpu, proc)
+    return proc, exec_gpu, rt.malloc_lines(proc, 0, num_lines)
+
+
+def _set_groups(rt, buf, num_lines, wpl):
+    """Ground-truth word indices of ``buf``'s lines, grouped by L2 set."""
+    groups = {}
+    for line in range(num_lines):
+        row = rt.system.set_index_of(buf, line * wpl)
+        groups.setdefault(row, []).append(line * wpl)
+    return groups
+
+
+def _run_trace(rt, side, parallel, streams, num_lines):
+    """Run each batch list in ``streams`` as its own concurrent kernel, so
+    bursts of different streams overlap in time and queue on each other's
+    banks, HBM channels and links."""
+    proc, exec_gpu, buf = side
+    out = [[] for _ in streams]
+    rt.run_concurrent(
+        [
+            dict(
+                kernel=_trace_kernel(buf, batches, parallel, stream_out),
+                gpu_id=exec_gpu,
+                process=proc,
+            )
+            for batches, stream_out in zip(streams, out)
+        ]
+    )
     home = rt.system.gpus[0]
     resident = [
         home.l2.probe_line(buf.paddr(i * (rt.system.spec.gpu.cache.line_size // 8)))
@@ -320,23 +364,40 @@ def _run_trace(rt, remote, parallel, batches, num_lines):
 @pytest.mark.parametrize("remote", [False, True], ids=["local", "remote"])
 @pytest.mark.parametrize("parallel", [True, False], ids=["parallel", "sequential"])
 @pytest.mark.parametrize("hashed", [False, True], ids=["plain", "hashed"])
-def test_random_trace_backends_agree(remote, parallel, hashed):
+def test_random_trace_backends_agree(remote, parallel, hashed, monkeypatch):
+    scalar_core = MultiGPUSystem._service_batch_scalar
+
+    def reference_only(self, home_gpu, *args):
+        # A VectorL2Cache home takes the fused core or the array path.
+        assert not isinstance(home_gpu.l2, VectorL2Cache)
+        return scalar_core(self, home_gpu, *args)
+
+    monkeypatch.setattr(MultiGPUSystem, "_service_batch_scalar", reference_only)
     vec, ref = _twin_runtimes(seed=5, hashed=hashed)
     num_lines = 3 * 64 * 4  # 3x the cache's line capacity
     wpl = vec.system.spec.gpu.cache.line_size // 8
-    batches = _random_batches(random.Random(23), num_lines, wpl, 40)
+    vec_side = _trace_side(vec, remote, num_lines)
+    ref_side = _trace_side(ref, remote, num_lines)
+    groups = _set_groups(vec, vec_side[2], num_lines, wpl)
+    assert groups == _set_groups(ref, ref_side[2], num_lines, wpl)
+    rng = random.Random(23)
+    streams = [
+        _random_batches(rng, num_lines, wpl, 40),
+        _discovery_batches(rng, groups, 4, 40),
+    ]
 
     vec_out, vec_counters, vec_resident = _run_trace(
-        vec, remote, parallel, batches, num_lines
+        vec, vec_side, parallel, streams, num_lines
     )
     ref_out, ref_counters, ref_resident = _run_trace(
-        ref, remote, parallel, batches, num_lines
+        ref, ref_side, parallel, streams, num_lines
     )
 
-    assert len(vec_out) == len(ref_out) == len(batches)
-    for (v_lat, v_hit), (r_lat, r_hit) in zip(vec_out, ref_out):
-        assert v_hit == r_hit
-        assert np.allclose(v_lat, r_lat)
+    for batches, vec_stream, ref_stream in zip(streams, vec_out, ref_out):
+        assert len(vec_stream) == len(ref_stream) == len(batches)
+        for (v_lat, v_hit), (r_lat, r_hit) in zip(vec_stream, ref_stream):
+            assert v_hit == r_hit
+            assert v_lat == r_lat
     # Discrete state and counters must match exactly.
     assert vec_resident == ref_resident
     assert vec_counters.l2_hits == ref_counters.l2_hits
@@ -345,6 +406,14 @@ def test_random_trace_backends_agree(remote, parallel, hashed):
     assert vec_counters.dram_reads == ref_counters.dram_reads
     assert vec_counters.remote_requests_in == ref_counters.remote_requests_in
     assert vec_counters.nvlink_bytes_out == ref_counters.nvlink_bytes_out
+    vec_fabric, ref_fabric = vec.system.interconnect, ref.system.interconnect
+    assert vec_fabric._transfers == ref_fabric._transfers
+    assert vec_fabric._busy_cycles == ref_fabric._busy_cycles
+    # A wide burst sums each hop's waits pairwise (numpy), the reference
+    # one transfer at a time; narrow bursts add them in transfer order.
+    assert vec_fabric._queued_cycles == pytest.approx(
+        ref_fabric._queued_cycles, rel=1e-12
+    )
 
 
 @pytest.mark.parametrize("parallel", [True, False], ids=["parallel", "sequential"])
