@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from ...errors import ChannelError
+from ...errors import ChannelError, SimulationError
 from ...sim.ops import (
     AccessEpoch,
     EpochBurst,
@@ -30,7 +30,11 @@ __all__ = [
     "spy_probe_kernel",
     "spy_probe_epoch_kernel",
     "SpyTrace",
+    "contention_anchor",
+    "decode_slots",
     "decode_trace",
+    "lock_phase",
+    "preamble_matches",
 ]
 
 
@@ -138,12 +142,7 @@ def adaptive_threshold(latencies: Sequence[float], half_gap: float) -> float:
     return hit_level + half_gap
 
 
-def _vote_slot(
-    times: Sequence[float],
-    raw: Sequence[int],
-    lo: float,
-    hi: float,
-) -> Tuple[int, float]:
+def _vote_votes(votes: Sequence[int]) -> Tuple[int, float]:
     """Vote one slot window by miss *count*; returns (bit, confidence).
 
     During a '1' slot the trojan re-primes continuously, so every probe
@@ -152,11 +151,6 @@ def _vote_slot(
     is therefore "two or more misses", which tolerates one stray sample in
     either direction.
     """
-    votes = [raw[i] for i, t in enumerate(times) if lo < t <= hi]
-    return _vote_votes(votes)
-
-
-def _vote_votes(votes: Sequence[int]) -> Tuple[int, float]:
     if not votes:
         return 0, 0.0
     misses = sum(votes)
@@ -170,35 +164,95 @@ def _vote_votes(votes: Sequence[int]) -> Tuple[int, float]:
     return 0, 0.6
 
 
-def _decode_with_start(
-    trace: SpyTrace,
+def contention_anchor(raw: Sequence[int], min_quiet: int) -> Optional[int]:
+    """Index of the first '1' that follows at least ``min_quiet`` '0's.
+
+    A spy's very first probes can read high for reasons that are not the
+    trojan (cold misses, a link still draining), so the preamble is
+    anchored on contention that follows a quiet run.  ``None`` when the
+    trace never shows one.
+    """
+    quiet_run = 0
+    for index, bit in enumerate(raw):
+        if bit == 0:
+            quiet_run += 1
+        elif quiet_run >= min_quiet:
+            return index
+        else:
+            quiet_run = 0
+    return None
+
+
+def decode_slots(
+    times: Sequence[float],
     raw: Sequence[int],
     start: float,
     slot_cycles: float,
     num_slots: int,
+    vote: Callable[[Sequence[int]], Tuple[int, float]],
 ) -> Tuple[List[int], float]:
     """Decode all slots for one candidate phase; returns (bits, score).
 
-    The score is the preamble agreement weighted by vote confidence, which
-    disambiguates phases that happen to reproduce the alternating preamble
-    through half-slot straddling.
+    Slot ``k`` votes on the samples stamped in ``(lo, hi]`` with
+    ``lo = start + k * slot_cycles``.  ``times`` must be non-decreasing
+    (:func:`lock_phase` checks), which makes each window the contiguous
+    slice between two bisections.  The score is the preamble agreement
+    weighted by vote confidence, which disambiguates phases that happen to
+    reproduce the alternating preamble through half-slot straddling.
     """
     bits: List[int] = []
     score = 0.0
-    times = trace.times
-    # Probe stamps are monotone within one spy trace, so each slot's
-    # ``lo < t <= hi`` window is a contiguous slice found by bisection --
-    # same votes as the linear scan in :func:`_vote_slot`, without the
-    # O(samples x slots) rescans.
     for slot in range(num_slots):
         lo = start + slot * slot_cycles
         hi = lo + slot_cycles
-        votes = raw[bisect_right(times, lo) : bisect_right(times, hi)]
-        bit, confidence = _vote_votes(votes)
+        bit, confidence = vote(raw[bisect_right(times, lo) : bisect_right(times, hi)])
         bits.append(bit)
         if slot < len(PREAMBLE):
             score += confidence if bit == PREAMBLE[slot] else -confidence
     return bits, score
+
+
+def lock_phase(
+    times: Sequence[float],
+    raw: Sequence[int],
+    anchor: float,
+    period: float,
+    slot_cycles: float,
+    num_slots: int,
+    vote: Callable[[Sequence[int]], Tuple[int, float]],
+) -> Tuple[List[int], float, float]:
+    """Sweep the slot-0 phase grid; returns (bits, score, start) of the best.
+
+    The anchoring probe started somewhere inside the first preamble slot,
+    so the true slot-0 start lies in (anchor - period, anchor].  The grid
+    covers that interval padded by half a period each side for timing
+    noise, with 26 candidates; ties keep the earliest phase.
+    Raises :class:`~repro.errors.SimulationError` when ``times`` goes
+    backwards: probe stamps are taken in order, so that is a simulator
+    fault, not a failed share.
+    """
+    for index in range(1, len(times)):
+        if not times[index - 1] <= times[index]:
+            raise SimulationError(
+                f"probe trace out of order at sample {index}: "
+                f"{times[index]!r} after {times[index - 1]!r}"
+            )
+    best_bits: List[int] = []
+    best_score = float("-inf")
+    best_start = anchor
+    steps = 25
+    span = 2.0 * period
+    for step in range(steps + 1):
+        start = anchor - 1.5 * period + span * step / steps
+        bits, score = decode_slots(times, raw, start, slot_cycles, num_slots, vote)
+        if score > best_score:
+            best_bits, best_score, best_start = bits, score, start
+    return best_bits, best_score, best_start
+
+
+def preamble_matches(bits: Sequence[int]) -> int:
+    """How many of the decoded frame's leading slots match the preamble."""
+    return sum(1 for got, want in zip(bits[: len(PREAMBLE)], PREAMBLE) if got == want)
 
 
 def _refine_phase(
@@ -271,18 +325,8 @@ def decode_trace(
         threshold = adaptive_threshold(trace.latencies, thresholds.remote_half_gap)
         raw = trace.binarized(threshold)
     # The spy's very first probes are cold misses (its lines are not yet
-    # cached), which binarize to spurious '1's.  Anchor on the first '1'
-    # that follows a run of quiet samples instead.
-    first_one = None
-    quiet_run = 0
-    for index, bit in enumerate(raw):
-        if bit == 0:
-            quiet_run += 1
-        else:
-            if quiet_run >= 3:
-                first_one = index
-                break
-            quiet_run = 0
+    # cached), which binarize to spurious '1's.
+    first_one = contention_anchor(raw, min_quiet=3)
     if first_one is None:
         raise ChannelError("no contention observed: preamble never detected")
     anchor = trace.times[first_one]
@@ -290,28 +334,16 @@ def decode_trace(
     if period is None:
         period = (trace.times[-1] - trace.times[0]) / max(1, len(trace.times) - 1)
     num_slots = len(PREAMBLE) + payload_bits
-
-    # The anchoring probe started somewhere inside the first preamble slot,
-    # so the true slot-0 start lies in (anchor - period, anchor].  Sweep a
-    # fine phase grid across that interval (padded by half a period each
-    # side for timing noise).
-    best_bits: List[int] = []
-    best_score = float("-inf")
-    best_start = anchor
-    steps = 25
-    span = 2.0 * period
-    for step in range(steps + 1):
-        start = anchor - 1.5 * period + span * step / steps
-        bits, score = _decode_with_start(trace, raw, start, slot_cycles, num_slots)
-        if score > best_score:
-            best_bits, best_score, best_start = bits, score, start
+    best_bits, best_score, best_start = lock_phase(
+        trace.times, raw, anchor, period, slot_cycles, num_slots, _vote_votes
+    )
     # Self-clocking refinement: re-anchor the slot grid on the trace's own
     # transition edges and keep the refined decode when it scores at least
     # as well on the preamble.
     refined_start = _refine_phase(trace, raw, best_start, slot_cycles, period)
     if abs(refined_start - best_start) > 1e-9:
-        refined_bits, refined_score = _decode_with_start(
-            trace, raw, refined_start, slot_cycles, num_slots
+        refined_bits, refined_score = decode_slots(
+            trace.times, raw, refined_start, slot_cycles, num_slots, _vote_votes
         )
         if refined_score >= best_score:
             best_bits, best_score, best_start = (
@@ -319,9 +351,7 @@ def decode_trace(
                 refined_score,
                 refined_start,
             )
-    preamble_hits = sum(
-        1 for got, want in zip(best_bits[: len(PREAMBLE)], PREAMBLE) if got == want
-    )
+    preamble_hits = preamble_matches(best_bits)
     if preamble_hits < len(PREAMBLE) - 1:
         raise ChannelError(
             f"preamble lock failed: best match {preamble_hits}/{len(PREAMBLE)}"

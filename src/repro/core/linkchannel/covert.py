@@ -26,7 +26,7 @@ The decoder differs from the L2 one in two load-bearing ways:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ...errors import ChannelError
 from ...runtime.api import Runtime
@@ -40,7 +40,7 @@ from ..covert.encoding import (
     interleave,
     text_to_bits,
 )
-from ..covert.spy import SpyTrace
+from ..covert.spy import SpyTrace, contention_anchor, lock_phase, preamble_matches
 from .probe import (
     LinkCalibration,
     calibrate_link,
@@ -124,9 +124,7 @@ def link_trojan_epoch_kernel(
     yield LinkEpoch(tuple(segments), rounds=1, round_reads=1)
 
 
-def _vote_slot_any(
-    times: Sequence[float], raw: Sequence[int], lo: float, hi: float
-) -> Tuple[int, float]:
+def _vote_any(votes: Sequence[int]) -> Tuple[int, float]:
     """Vote one slot window: any over-threshold sample marks a '1'.
 
     A contended probe parks on the flood's reservation horizon, so '1'
@@ -134,30 +132,11 @@ def _vote_slot_any(
     previous slot's blocked probe can swallow a window's worth of
     cadence).
     """
-    votes = [raw[i] for i, t in enumerate(times) if lo < t <= hi]
     if not votes:
         return 0, 0.25
     if any(votes):
         return 1, 1.0
     return 0, 1.0
-
-
-def _decode_with_start(
-    trace: SpyTrace,
-    raw: Sequence[int],
-    start: float,
-    slot_cycles: float,
-    num_slots: int,
-) -> Tuple[List[int], float]:
-    bits: List[int] = []
-    score = 0.0
-    for slot in range(num_slots):
-        lo = start + slot * slot_cycles
-        bit, confidence = _vote_slot_any(trace.times, raw, lo, lo + slot_cycles)
-        bits.append(bit)
-        if slot < len(PREAMBLE):
-            score += confidence if bit == PREAMBLE[slot] else -confidence
-    return bits, score
 
 
 def decode_link_trace(
@@ -169,21 +148,13 @@ def decode_link_trace(
     """Recover one link's payload share from its probe trace.
 
     Binarizes against the calibration's fixed noise-floor threshold,
-    anchors on the first contended sample after a quiet run, then sweeps a
-    fine phase grid scored on the preamble (the same lock-on shape as the
-    L2 decoder, with any-miss voting).  Returns ``(payload, slot0_start)``.
+    anchors on the first contended sample after a quiet run, then sweeps
+    the shared phase grid (:func:`repro.core.covert.spy.lock_phase`)
+    scored on the preamble, with any-miss voting.  Returns
+    ``(payload, slot0_start)``.
     """
     raw = trace.binarized(calibration.threshold)
-    first_one = None
-    quiet_run = 0
-    for index, bit in enumerate(raw):
-        if bit == 0:
-            quiet_run += 1
-        elif quiet_run >= 2:
-            first_one = index
-            break
-        else:
-            quiet_run = 0
+    first_one = contention_anchor(raw, min_quiet=2)
     if first_one is None:
         raise ChannelError("no link contention observed: preamble never detected")
     anchor = trace.times[first_one]
@@ -193,21 +164,11 @@ def decode_link_trace(
         trace.times[i] - trace.times[i - 1] for i in range(1, len(trace.times))
     )
     period = gaps[len(gaps) // 2] if gaps else slot_cycles / 4.0
-
     num_slots = len(PREAMBLE) + payload_bits
-    best_bits: List[int] = []
-    best_score = float("-inf")
-    best_start = anchor
-    steps = 25
-    span = 2.0 * period
-    for step in range(steps + 1):
-        start = anchor - 1.5 * period + span * step / steps
-        bits, score = _decode_with_start(trace, raw, start, slot_cycles, num_slots)
-        if score > best_score:
-            best_bits, best_score, best_start = bits, score, start
-    preamble_hits = sum(
-        1 for got, want in zip(best_bits[: len(PREAMBLE)], PREAMBLE) if got == want
+    best_bits, _score, best_start = lock_phase(
+        trace.times, raw, anchor, period, slot_cycles, num_slots, _vote_any
     )
+    preamble_hits = preamble_matches(best_bits)
     if preamble_hits < len(PREAMBLE) - 1:
         raise ChannelError(
             f"link preamble lock failed: best match {preamble_hits}/{len(PREAMBLE)}"

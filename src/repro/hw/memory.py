@@ -28,7 +28,7 @@ class PhysicalMemory:
         self.page_size = spec.page_size
         order = np.arange(spec.num_frames, dtype=np.int64)
         rng.shuffle(order)
-        self._free: List[int] = [int(f) for f in order[::-1]]
+        self._free: List[int] = order[::-1].tolist()
         self._allocated: set = set()
 
     @property
