@@ -31,8 +31,8 @@ from .encoding import (
     interleave,
     text_to_bits,
 )
-from .spy import SpyTrace, decode_trace, spy_probe_epoch_kernel, spy_probe_kernel
-from .trojan import trojan_send_epoch_kernel, trojan_send_kernel
+from .spy import SpyTrace, decode_trace, spy_probe_kernel
+from .trojan import trojan_send_kernel
 
 __all__ = ["CovertChannel", "TransmissionResult", "ChannelReport"]
 
@@ -349,18 +349,12 @@ class CovertChannel:
         start = runtime.engine.now
         trojan_start = start + _LEAD_SLOTS * slot_cycles
 
-        # Epoch dispatch (the default) moves both kernels onto the engine's
-        # batch-native cursor; the scalar kernels remain as the per-op
-        # differential oracle and produce bit-identical traces.
-        epochs = getattr(runtime, "epoch_dispatch", True)
-        spy_kernel = spy_probe_epoch_kernel if epochs else spy_probe_kernel
-        trojan_kernel = trojan_send_epoch_kernel if epochs else trojan_send_kernel
         spy_handles = []
         for pair_index, (_trojan_set, spy_set) in enumerate(self.pairs):
             shared = self.spy.shared_buffer(f"spy_stage_{pair_index}", 512)
             spy_handles.append(
                 runtime.launch(
-                    spy_kernel(spy_set, num_probes, shared),
+                    spy_probe_kernel(spy_set, num_probes, shared),
                     self.spy_gpu,
                     self.spy,
                     name=f"spy_probe_{pair_index}",
@@ -369,7 +363,7 @@ class CovertChannel:
             )
         for pair_index, (trojan_set, _spy_set) in enumerate(self.pairs):
             runtime.launch(
-                trojan_kernel(trojan_set, frames[pair_index], slot_cycles),
+                trojan_send_kernel(trojan_set, frames[pair_index], slot_cycles),
                 self.trojan_gpu,
                 self.trojan,
                 name=f"trojan_send_{pair_index}",

@@ -14,21 +14,13 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ...errors import ChannelError, SimulationError
-from ...sim.ops import (
-    AccessEpoch,
-    EpochBurst,
-    EpochIdle,
-    ProbeSet,
-    ReadClock,
-    SharedStore,
-)
+from ...sim.ops import AccessEpoch, EpochBurst, EpochIdle, SharedStore
 from ..eviction import EvictionSet
 from ..timing import TimingThresholds
 from .encoding import PREAMBLE
 
 __all__ = [
     "spy_probe_kernel",
-    "spy_probe_epoch_kernel",
     "SpyTrace",
     "contention_anchor",
     "decode_slots",
@@ -57,51 +49,21 @@ def spy_probe_kernel(
 ):
     """Probe the set ``num_probes`` times, staging (time, latency) pairs.
 
-    The shared-memory staging region is a ring: the paper drains it to
-    global memory with helper threads; here the host reads the returned
-    trace, which models the same data path without the copy traffic.
-    """
-    times: List[float] = []
-    latencies: List[float] = []
-    stage_slots = len(shared_times.data) - stage_base
-    stage_slots = max(2, stage_slots - stage_slots % 2)
-    cursor = 0
-    for _ in range(num_probes):
-        # Stamp each sample with the probe's *start* time: a probe straddling
-        # a slot boundary observes the state left by the earlier slot, so it
-        # must be attributed to the slot it started in.
-        now = yield ReadClock()
-        probe = yield ProbeSet(eviction_set.buffer, eviction_set.indices, parallel=True)
-        # Summarize the traversal by its *median* per-line latency: a prime
-        # leaves all lines missing (median ~ remote miss), while transient
-        # port/NVLink queueing inflates only a few lines and cannot drag
-        # the median of a hit traversal over the threshold.
-        ordered = sorted(probe.latencies)
-        median = ordered[len(ordered) // 2]
-        yield SharedStore(shared_times, stage_base + cursor % stage_slots, now)
-        yield SharedStore(shared_times, stage_base + (cursor + 1) % stage_slots, median)
-        cursor = (cursor + 2) % stage_slots
-        times.append(now)
-        latencies.append(median)
-    return SpyTrace(times=times, latencies=latencies)
+    The whole probe train is one :class:`AccessEpoch`.  Each round reads
+    the clock, then traverses the set in parallel: a sample is stamped
+    with its probe's *start* time, because a probe straddling a slot
+    boundary observes the state left by the earlier slot.  Two idle
+    windows follow, standing in for the two shared-memory staging stores
+    (two segments, not one doubled one: float addition is not
+    associative).  A traversal is summarized by its *median* per-line
+    latency: a prime leaves all lines missing, while transient port or
+    NVLink queueing inflates only a few lines of a hit traversal.
 
-
-def spy_probe_epoch_kernel(
-    eviction_set: EvictionSet,
-    num_probes: int,
-    shared_times,
-    stage_base: int = 0,
-):
-    """Epoch-native :func:`spy_probe_kernel`: the whole probe train is one
-    :class:`AccessEpoch` advanced in bulk by the engine's cursor.
-
-    Each round is one parallel traversal plus two idle windows standing in
-    for the staging stores' cost (two separate segments, not one doubled
-    one: float addition is not associative and the clocks of both kernels
-    must agree bit-for-bit).  The staging ring itself is replayed from the
-    recorded outcome after the epoch completes -- shared memory is private
-    to the block, so only its final contents are observable, and they are
-    identical to what the scalar kernel leaves behind.
+    The staging region is a ring: the paper drains it to global memory
+    with helper threads; here the host reads the returned trace, which
+    models the same data path without the copy traffic.  Shared memory
+    is private to the block, so only the ring's final contents are
+    observable; they are replayed from the outcome after the plan ends.
     """
     stage_slots = len(shared_times.data) - stage_base
     stage_slots = max(2, stage_slots - stage_slots % 2)

@@ -31,7 +31,7 @@ from typing import List, Sequence, Tuple
 from ...errors import ChannelError
 from ...runtime.api import Runtime
 from ...sim.process import Process
-from ...sim.ops import LinkBurst, LinkEpoch, LinkPad, LinkProbe, ReadClock, Sleep
+from ...sim.ops import LinkBurst, LinkEpoch, LinkPad
 from ..covert.channel import ChannelReport, TransmissionResult
 from ..covert.encoding import (
     PREAMBLE,
@@ -41,19 +41,12 @@ from ..covert.encoding import (
     text_to_bits,
 )
 from ..covert.spy import SpyTrace, contention_anchor, lock_phase, preamble_matches
-from .probe import (
-    LinkCalibration,
-    calibrate_link,
-    flood_gap,
-    link_probe_epoch_kernel,
-    link_probe_kernel,
-)
+from .probe import LinkCalibration, calibrate_link, flood_gap, link_probe_kernel
 
 __all__ = [
     "LinkCovertChannel",
     "LinkPendingTransmission",
     "decode_link_trace",
-    "link_trojan_epoch_kernel",
     "link_trojan_kernel",
 ]
 
@@ -80,35 +73,10 @@ def link_trojan_kernel(
 
     A '1' slot posts a single burst sized to reserve the link's lanes for
     ``slot_cycles * (1 - margin_frac)``; posted writes return after the
-    issue window, so the kernel sleeps out the rest of the slot while the
-    reservations do the signalling.
-    """
-    start = yield ReadClock()
-    reserve = slot_cycles * (1.0 - margin_frac)
-    count = max(1, int(reserve / occupancy_per_transfer))
-    for slot, bit in enumerate(frame):
-        if bit:
-            yield LinkProbe(dst_gpu, num_transfers=count, gap_cycles=1.0, wait=False)
-        now = yield ReadClock()
-        target = start + (slot + 1) * slot_cycles
-        if target > now:
-            yield Sleep(target - now)
-
-
-def link_trojan_epoch_kernel(
-    dst_gpu: int,
-    frame: Sequence[int],
-    slot_cycles: float,
-    occupancy_per_transfer: float,
-    margin_frac: float = _SLOT_MARGIN_FRAC,
-):
-    """Epoch-native twin of :func:`link_trojan_kernel`.
-
-    The whole frame is one :class:`~repro.sim.ops.LinkEpoch`: each slot
-    contributes an optional posted flood burst plus a
-    :class:`~repro.sim.ops.LinkPad` to the next slot edge, with the same
-    burst sizing and pad arithmetic as the scalar kernel -- so the lane
-    reservations (and hence the spy's observations) are bit-identical.
+    issue window, so the trojan pads out the rest of the slot
+    (:class:`~repro.sim.ops.LinkPad`) while the reservations do the
+    signalling.  The whole frame is one :class:`~repro.sim.ops.LinkEpoch`
+    whose slot edges are offsets from its opening clock read.
     """
     reserve = slot_cycles * (1.0 - margin_frac)
     count = max(1, int(reserve / occupancy_per_transfer))
@@ -262,9 +230,6 @@ class LinkCovertChannel:
         if not self.calibrations:
             raise ChannelError("channel not set up: call setup() first")
         runtime = self.runtime
-        epochs = getattr(runtime, "epoch_dispatch", True)
-        spy_kernel = link_probe_epoch_kernel if epochs else link_probe_kernel
-        trojan_kernel = link_trojan_epoch_kernel if epochs else link_trojan_kernel
         num_links = len(self.links)
         shares = interleave(bits, num_links)
         frames = [list(PREAMBLE) + share for share in shares]
@@ -285,7 +250,9 @@ class LinkCovertChannel:
         for index, (trojan_gpu, spy_gpu) in enumerate(self.links):
             spy_handles.append(
                 runtime.launch(
-                    spy_kernel(trojan_gpu, num_probes, spacing_cycles=spacing),
+                    link_probe_kernel(
+                        trojan_gpu, num_probes, spacing_cycles=spacing
+                    ),
                     spy_gpu,
                     self.spies[index],
                     name=f"link_spy_{index}",
@@ -297,7 +264,7 @@ class LinkCovertChannel:
                 runtime.system.spec, (trojan_gpu, spy_gpu)
             )
             runtime.launch(
-                trojan_kernel(
+                link_trojan_kernel(
                     spy_gpu, frames[index], slot_cycles, occupancy
                 ),
                 trojan_gpu,

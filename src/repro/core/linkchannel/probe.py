@@ -29,24 +29,14 @@ from dataclasses import dataclass
 from typing import Generator, Optional, Tuple
 
 from ...config import DGXSpec
-from ...sim.ops import (
-    EpochIdle,
-    LinkBurst,
-    LinkEpoch,
-    LinkFlood,
-    LinkProbe,
-    ReadClock,
-    Sleep,
-)
+from ...sim.ops import EpochIdle, LinkBurst, LinkEpoch, LinkFlood
 from ..covert.spy import SpyTrace
 
 __all__ = [
     "LinkCalibration",
     "calibrate_link",
     "flood_gap",
-    "link_flood_epoch_kernel",
     "link_flood_kernel",
-    "link_probe_epoch_kernel",
     "link_probe_kernel",
 ]
 
@@ -84,60 +74,12 @@ def link_probe_kernel(
 ) -> Generator:
     """Time ``num_probes`` link bursts toward ``dst_gpu`` at a fixed cadence.
 
-    Returns a :class:`~repro.core.covert.spy.SpyTrace` of (start time,
-    median transfer latency) samples -- the same record shape the L2 spy
+    Each round reads the clock, times one dependent burst and sleeps
+    ``spacing_cycles``; the whole sweep is one
+    :class:`~repro.sim.ops.LinkEpoch`.  Returns a
+    :class:`~repro.core.covert.spy.SpyTrace` of (start time, median
+    transfer latency) samples -- the same record shape the L2 spy
     produces, so downstream tooling (waveforms, decoders) is shared.
-    """
-    times = []
-    latencies = []
-    for _ in range(num_probes):
-        now = yield ReadClock()
-        probe = yield LinkProbe(dst_gpu, num_transfers=burst, wait=True)
-        times.append(now)
-        latencies.append(probe.median_latency)
-        yield Sleep(spacing_cycles)
-    return SpyTrace(times=times, latencies=latencies)
-
-
-def link_flood_kernel(
-    dst_gpu: int,
-    duration_cycles: float,
-    occupancy_per_transfer: float,
-    burst_cycles: float = 2500.0,
-) -> Generator:
-    """Keep the route to ``dst_gpu`` saturated for ``duration_cycles``.
-
-    Each iteration posts one oversubscribed write burst (``wait=False``)
-    sized to reserve the link for ``burst_cycles``, then sleeps off the
-    difference between the reservation horizon and the issue window so the
-    backlog never grows beyond one burst (unbounded backlog would smear
-    contention far past the flood's end).
-    """
-    start = yield ReadClock()
-    end = start + duration_cycles
-    now = start
-    while now < end:
-        window = min(burst_cycles, end - now)
-        count = max(1, int(window / occupancy_per_transfer))
-        yield LinkProbe(dst_gpu, num_transfers=count, gap_cycles=1.0, wait=False)
-        hold = max(count * occupancy_per_transfer - count * 1.0, 0.0)
-        if hold > 0.0:
-            yield Sleep(hold)
-        now = yield ReadClock()
-
-
-def link_probe_epoch_kernel(
-    dst_gpu: int,
-    num_probes: int,
-    burst: int = 4,
-    spacing_cycles: float = 400.0,
-) -> Generator:
-    """Epoch-native twin of :func:`link_probe_kernel`.
-
-    The whole probe sweep is one :class:`~repro.sim.ops.LinkEpoch`: the
-    engine's link cursor services every burst through the cached columnar
-    fabric flow instead of bouncing three heap events per probe.  Sample
-    times and median latencies are bit-identical to the scalar kernel's.
     """
     outcome = yield LinkEpoch(
         (
@@ -153,17 +95,20 @@ def link_probe_epoch_kernel(
     )
 
 
-def link_flood_epoch_kernel(
+def link_flood_kernel(
     dst_gpu: int,
     duration_cycles: float,
     occupancy_per_transfer: float,
     burst_cycles: float = 2500.0,
 ) -> Generator:
-    """Epoch-native twin of :func:`link_flood_kernel`.
+    """Keep the route to ``dst_gpu`` saturated for ``duration_cycles``.
 
-    One :class:`~repro.sim.ops.LinkFlood` round per scalar loop iteration
-    (burst sizing, pacing hold and termination arithmetic verbatim), so
-    the lane reservations land cycle-identically to the scalar flooder.
+    Each :class:`~repro.sim.ops.LinkFlood` round posts one oversubscribed
+    write burst (``wait=False``) sized to reserve the link for
+    ``burst_cycles``, then holds off the difference between the
+    reservation horizon and the issue window so the backlog never grows
+    beyond one burst (unbounded backlog would smear contention far past
+    the flood's end).
     """
     yield LinkEpoch(
         (
@@ -245,10 +190,6 @@ def calibrate_link(
     """
     import numpy as np
 
-    epochs = getattr(runtime, "epoch_dispatch", True)
-    probe_kernel = link_probe_epoch_kernel if epochs else link_probe_kernel
-    flood_kernel = link_flood_epoch_kernel if epochs else link_flood_kernel
-
     spec = runtime.system.spec
     prober = runtime.create_process("link_cal_probe")
     flooder = runtime.create_process("link_cal_flood")
@@ -256,7 +197,9 @@ def calibrate_link(
     runtime.enable_peer_access(flooder, far_gpu, probe_gpu)
 
     idle_handle = runtime.launch(
-        probe_kernel(far_gpu, probes, burst=burst, spacing_cycles=spacing_cycles),
+        link_probe_kernel(
+            far_gpu, probes, burst=burst, spacing_cycles=spacing_cycles
+        ),
         probe_gpu,
         prober,
         name="link_cal_idle",
@@ -267,13 +210,15 @@ def calibrate_link(
     occupancy = flood_gap(spec, (probe_gpu, far_gpu))
     duration = probes * (spacing_cycles + 4000.0)
     contended_handle = runtime.launch(
-        probe_kernel(far_gpu, probes, burst=burst, spacing_cycles=spacing_cycles),
+        link_probe_kernel(
+            far_gpu, probes, burst=burst, spacing_cycles=spacing_cycles
+        ),
         probe_gpu,
         prober,
         name="link_cal_probe",
     )
     runtime.launch(
-        flood_kernel(probe_gpu, duration, occupancy),
+        link_flood_kernel(probe_gpu, duration, occupancy),
         far_gpu,
         flooder,
         name="link_cal_flood",

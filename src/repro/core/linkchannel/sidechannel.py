@@ -27,7 +27,7 @@ from ...runtime.api import Runtime
 from ...sim.ops import LinkBurst, LinkEpoch, LinkPad, LinkProbe, ReadClock, Sleep
 from ..covert.spy import SpyTrace
 from ..sidechannel.memorygram import _block_reduce
-from .probe import flood_gap, link_probe_epoch_kernel, link_probe_kernel
+from .probe import flood_gap, link_probe_kernel
 
 __all__ = [
     "Linkgram",
@@ -72,19 +72,18 @@ def victim_traffic_epoch_kernel(
     burst_cycles: float,
     occupancy_per_transfer: float,
 ):
-    """Epoch-native twin of :func:`victim_traffic_kernel`.
+    """:func:`victim_traffic_kernel` as one :class:`~repro.sim.ops.LinkEpoch`.
 
-    The whole workload is one :class:`~repro.sim.ops.LinkEpoch` built the
-    same way as the covert trojan's: a single unrolled round of posted
-    bursts plus :class:`~repro.sim.ops.LinkPad` segments whose ``until``
-    offsets are the scalar kernel's own ``cycle * period_cycles`` grid
-    products, so every pad lands on the identical absolute slot edge.
-    The round count replays the scalar loop's ``now < end`` checks, which
+    Built the same way as the covert trojan's plan: a single round of
+    posted bursts plus :class:`~repro.sim.ops.LinkPad` segments whose
+    ``until`` offsets are the loop kernel's own ``cycle * period_cycles``
+    grid products, so every pad lands on the identical absolute slot
+    edge.  The burst count replays the loop's ``now < end`` checks, which
     reduce to ``cycle * period_cycles < duration_cycles`` whenever no
     burst overruns its period -- the builder therefore requires
     ``count * gap`` to fit inside a period (with a cycle of slack for
-    float edges) and the launcher falls back to the scalar kernel
-    otherwise.
+    float edges) and the launcher keeps the loop kernel otherwise: a
+    saturating victim's pacing reads back its own true clock.
     """
     count = max(1, int(burst_cycles / occupancy_per_transfer))
     if count * 1.0 + 1.0 >= period_cycles:
@@ -223,15 +222,11 @@ class LinkgramRecorder:
         # park on contended routes.
         period = self.spacing_cycles + 380.0
         num_probes = int(duration_cycles / period) + 4
-        # Probe sweeps go epoch-native with the runtime's dispatch mode
-        # (victim selection happens separately in victim_launcher).
-        epochs = getattr(self.runtime, "epoch_dispatch", True)
-        probe_kernel = link_probe_epoch_kernel if epochs else link_probe_kernel
         handles = []
         for index, (a, b) in enumerate(self.probe_pairs):
             handles.append(
                 self.runtime.launch(
-                    probe_kernel(
+                    link_probe_kernel(
                         b,
                         num_probes,
                         burst=self.burst,
@@ -353,14 +348,12 @@ class LinkgramRecorder:
         occupancy = flood_gap(
             runtime.system.spec, (victim_gpu, dst_gpu)
         )
-        # Bursty victims whose issue window fits inside the period ride
-        # the columnar fabric engine; saturating ones keep the scalar
-        # kernel (their loop pacing reads back their own true clock).
+        # Bursty victims whose issue window fits inside the period are one
+        # plan; saturating ones keep the loop kernel (their pacing reads
+        # back their own true clock).
         kernel = victim_traffic_kernel
         count = max(1, int(burst_cycles / occupancy))
-        if getattr(runtime, "epoch_dispatch", True) and (
-            count * 1.0 + 1.0 < period_cycles
-        ):
+        if count * 1.0 + 1.0 < period_cycles:
             kernel = victim_traffic_epoch_kernel
 
         def launch(start: float):

@@ -34,7 +34,7 @@ Edge = FrozenSet[int]
 #: the threshold is exactly 8: numpy's fixed per-call overhead only pays
 #: for itself beyond a handful of elements, and numpy's pairwise ``sum``
 #: reduces strictly left-to-right for fewer than 8 elements -- which is
-#: what keeps the Python path's in-order ``hop_wait`` accumulation
+#: what keeps the Python path's in-order ``hop_wait`` stall sums
 #: bit-identical to ``float(waits.sum())`` on the vectorized path.
 SMALL_BATCH = 8
 
@@ -42,6 +42,23 @@ SMALL_BATCH = 8
 def _edge_key(edge: Edge) -> str:
     a, b = sorted(edge)
     return f"link{a}-{b}"
+
+
+def book_waits(total: float, waits) -> float:
+    """``total`` plus each of one hop's ``waits``, added in transfer order.
+
+    The queued-cycles counters are booked this way on every fabric walk,
+    because :meth:`Interconnect.transfer` and
+    :meth:`FabricFlow.flush_counters` add one wait at a time: booking a
+    per-hop sum instead rounds differently, so the same traffic would
+    leave different counters depending on the walk that carried it.
+    ``waits`` is a numpy array (one sequential accumulate) or a list.
+    """
+    if isinstance(waits, np.ndarray):
+        return float(np.add.accumulate(np.concatenate(([total], waits)))[-1])
+    for wait in waits:
+        total += wait
+    return total
 
 
 def least_busy_lane(lanes) -> int:
@@ -143,7 +160,8 @@ class FabricFlow:
             lanes[:] = [float(b) for b in new_busy]
             transfers[edge] += int(n)
             hop_wait = float(waits.sum())
-            queued[edge] += hop_wait
+            if hop_wait:
+                queued[edge] = book_waits(queued[edge], waits)
             busy_cycles[edge] += serialization * n
             extras += waits
             clock += waits + serialization
@@ -208,7 +226,7 @@ class FabricFlow:
                 hop_wait += wait
                 extras[i] += wait
                 clock[i] += wait + serialization
-            queued[edge] += hop_wait
+            queued[edge] = book_waits(queued[edge], waits)
             busy_cycles[edge] += serialization * n
             if metrics is not None and hop_wait > 0.0:
                 metrics.count_stall(
@@ -273,9 +291,9 @@ class FabricFlow:
     def flush_counters(self) -> None:
         """Fold accumulated :meth:`advance_one` work into the counters.
 
-        Queued cycles are added wait by wait, in transfer order, so they
-        equal the per-transfer sums of :meth:`Interconnect.transfer` bit
-        for bit.  With a metrics registry attached, each hop that queued
+        Queued cycles are booked with :func:`book_waits`, so they equal
+        the per-transfer sums of :meth:`Interconnect.transfer` bit for
+        bit.  With a metrics registry attached, each hop that queued
         reports its wait sum and stalled-transfer count under its own
         link key -- the per-hop accounting of :meth:`advance_batch_small`.
         """
@@ -289,14 +307,13 @@ class FabricFlow:
             inter._busy_cycles[edge] += self.serialization[hop] * count
             waits = self.stalls[hop]
             if waits:
-                queued = inter._queued_cycles[edge]
-                hop_wait = 0.0
-                for wait in waits:
-                    queued += wait
-                    hop_wait += wait
-                inter._queued_cycles[edge] = queued
+                inter._queued_cycles[edge] = book_waits(
+                    inter._queued_cycles[edge], waits
+                )
                 if metrics is not None:
-                    metrics.count_stall(self.keys[hop], hop_wait, events=len(waits))
+                    metrics.count_stall(
+                        self.keys[hop], book_waits(0.0, waits), events=len(waits)
+                    )
                 waits.clear()
         self.count_acc = 0
 
@@ -526,7 +543,10 @@ class Interconnect:
             lanes[:] = [float(b) for b in new_busy]
             self._transfers[edge] += int(n)
             hop_wait = float(waits.sum())
-            self._queued_cycles[edge] += hop_wait
+            if hop_wait:
+                self._queued_cycles[edge] = book_waits(
+                    self._queued_cycles[edge], waits
+                )
             self._busy_cycles[edge] += serialization * n
             extras += waits
             clock += waits + serialization
@@ -571,10 +591,10 @@ class Interconnect:
 
         The scalar arm's :meth:`transfer_batch` body -- every wait comes
         from :func:`~repro.hw.occupancy.multi_server_waits_scalar`, one
-        element at a time.  Only the ``hop_wait`` counter reduction stays
-        numpy: its pairwise sum differs from in-order accumulation at
-        :data:`SMALL_BATCH` elements and up, and ``counters_snapshot``
-        must match the vectorized walk bitwise at any batch width.
+        element at a time.  Only the ``hop_wait`` stall reduction (metrics
+        and tracer) stays numpy: its pairwise sum differs from in-order
+        accumulation at :data:`SMALL_BATCH` elements and up, and the stall
+        metrics must match the vectorized walk bitwise at any batch width.
         """
         n = int(stamps.size)
         clock = [float(stamp) for stamp in stamps]
@@ -591,7 +611,7 @@ class Interconnect:
             lanes[:] = new_busy
             self._transfers[edge] += n
             hop_wait = float(np.asarray(waits).sum())
-            self._queued_cycles[edge] += hop_wait
+            self._queued_cycles[edge] = book_waits(self._queued_cycles[edge], waits)
             self._busy_cycles[edge] += serialization * n
             stalled = 0
             for index in range(n):
@@ -631,30 +651,6 @@ class Interconnect:
     def link_busy_until(self) -> Dict[Edge, float]:
         """Latest busy-until stamp per link (raw lane state)."""
         return {edge: max(lanes) for edge, lanes in self._busy.items()}
-
-    def link_utilization(
-        self,
-        window_cycles: float,
-        since: Optional[Dict[Edge, float]] = None,
-    ) -> Dict[Edge, float]:
-        """Deprecated spelling of :meth:`utilization`.
-
-        .. deprecated:: the old zero-argument form returned raw
-           busy-until *timestamps* despite the name; that behaviour lives
-           on as :meth:`link_busy_until`.  This wrapper now computes a
-           real windowed utilization fraction and warns so remaining
-           callers migrate to :meth:`utilization`.
-        """
-        import warnings
-
-        warnings.warn(
-            "Interconnect.link_utilization() is deprecated: call "
-            "utilization(window_cycles) for the windowed fraction, or "
-            "link_busy_until() for raw lane busy-until stamps",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.utilization(window_cycles, since=since)
 
     def busy_cycles(self) -> Dict[Edge, float]:
         """Cumulative lane-occupancy cycles charged per link."""

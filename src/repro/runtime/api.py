@@ -16,9 +16,26 @@ from ..config import DGXSpec
 from ..errors import AllocationError, PeerAccessError
 from ..hw.system import MultiGPUSystem
 from ..sim.engine import Engine, StreamHandle
+from ..sim.epoch import unroll
+from ..sim.ops import AccessEpoch, LinkEpoch
 from ..sim.process import WORD_BYTES, DeviceBuffer, Process
 
 __all__ = ["Runtime"]
+
+
+def _per_op(kernel: Generator[Any, Any, Any]) -> Generator[Any, Any, Any]:
+    """Forward ``kernel``'s ops, running each epoch plan through
+    :func:`~repro.sim.epoch.unroll` instead of handing it to the cursor."""
+    result = None
+    while True:
+        try:
+            op = kernel.send(result)
+        except StopIteration as stop:
+            return stop.value
+        if type(op) is AccessEpoch or type(op) is LinkEpoch:
+            result = yield from unroll(op)
+        else:
+            result = yield op
 
 
 class Runtime:
@@ -33,10 +50,11 @@ class Runtime:
     ) -> None:
         self.system = system if system is not None else MultiGPUSystem(spec, seed=seed)
         self.engine = Engine(self.system)
-        #: When set (the default), attack kernels built on this runtime
-        #: declare :class:`~repro.sim.ops.AccessEpoch` plans and the engine
-        #: advances them in bulk; ``False`` keeps every kernel on the
-        #: per-op coroutine path -- the differential-test oracle.
+        #: When set (the default), the engine advances the
+        #: :class:`~repro.sim.ops.AccessEpoch` / ``LinkEpoch`` plans that
+        #: kernels yield in bulk; ``False`` makes :meth:`launch` lower
+        #: every plan to per-op dispatch with
+        #: :func:`~repro.sim.epoch.unroll` -- the differential reference.
         self.epoch_dispatch = epoch_dispatch
         #: Nullable observability hooks, set by
         #: :func:`repro.telemetry.metrics.attach_metrics` /
@@ -137,6 +155,8 @@ class Runtime:
         start: Optional[float] = None,
     ) -> StreamHandle:
         """Launch one thread block's kernel stream (asynchronous)."""
+        if not self.epoch_dispatch:
+            kernel = _per_op(kernel)
         return self.engine.launch(
             kernel, gpu_id, process, name=name, shared_mem=shared_mem, start=start
         )

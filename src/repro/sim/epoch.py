@@ -27,7 +27,7 @@ from typing import Any, Generator, List, Optional, TYPE_CHECKING
 import numpy as np
 
 from ..errors import PeerAccessError, SimulationError
-from ..hw.interconnect import SMALL_BATCH, FabricFlow
+from ..hw.interconnect import SMALL_BATCH, FabricFlow, book_waits
 from ..hw.occupancy import multi_server_waits_scalar
 from .ops import (
     AccessEpoch,
@@ -41,8 +41,10 @@ from .ops import (
     LinkFlood,
     LinkOutcome,
     LinkPad,
+    LinkProbe,
     ProbeEpoch,
     ProbeSet,
+    ReadClock,
     Sleep,
 )
 
@@ -50,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..hw.system import MultiGPUSystem
     from .engine import StreamHandle
 
-__all__ = ["EpochCursor", "LinkEpochCursor", "epochify"]
+__all__ = ["EpochCursor", "LinkEpochCursor", "epochify", "unroll"]
 
 _INF = float("inf")
 
@@ -89,10 +91,11 @@ class EpochCursor:
         #: already suspended once, so the resume completes it (progress
         #: guarantee) instead of pausing again.
         self.idle_pause = None
-        #: Zero-latency clock reads the scalar twin has pending before its
-        #: next resource op, and the start time of its last clock-advancing
-        #: op -- together the FIFO tie key the scalar engine would have
-        #: assigned this stream's queued event (see Engine._push).
+        #: Zero-latency clock reads the per-op form (:func:`unroll`) has
+        #: pending before its next resource op, and the start time of its
+        #: last clock-advancing op -- together the FIFO tie key per-op
+        #: dispatch would have assigned this stream's queued event (see
+        #: Engine._push).
         self.lead = 0
         self.last_advance = begin
         self.key_lead = 0
@@ -141,11 +144,11 @@ class EpochCursor:
         segments = op.segments
         num_segments = len(segments)
         service = self._service
-        # ``lead``/``last_advance`` mirror the scalar twin's event-queue
+        # ``lead``/``last_advance`` mirror the per-op stream's event-queue
         # footprint: how many zero-latency clock reads it has pending, and
         # when its last clock-advancing op started (= when its queued heap
         # entry was pushed).  They become the suspension tie key so that
-        # streams parked at the same instant pop in the oracle's order.
+        # streams parked at the same instant pop in the per-op order.
         lead = self.lead
         last_advance = self.last_advance
         while True:
@@ -183,11 +186,7 @@ class EpochCursor:
                         return self._suspend(clock, lead, lead, last_advance)
                     start = clock
                     clock = start + service(seg, start)
-                    if seg.post_cycles:
-                        last_advance = clock
-                        clock += seg.post_cycles
-                    else:
-                        last_advance = start
+                    last_advance = start
                     lead = 0
                     serviced = True
                 elif kind is EpochIdle:
@@ -196,46 +195,39 @@ class EpochCursor:
                         clock += seg.cycles
                         lead = 0
                     if seg.until is not None:
+                        # Step like the per-op wait loop so the two
+                        # dispatch modes' clocks agree bit-for-bit; each
+                        # evaluation is one clock read per-op.
                         target = self.round_start + seg.until
                         chunk = seg.chunk
-                        if chunk is None:
-                            if target > clock:
-                                last_advance = clock
-                                clock = target
-                                lead = 0
-                        else:
-                            # Step like the scalar wait loop so the two
-                            # backends' clocks agree bit-for-bit; each
-                            # evaluation is one clock read in the twin.
-                            here = (self.round_index, self.seg_index)
-                            while True:
-                                lead += 1
-                                remaining = target - clock
-                                if remaining <= 0:
-                                    break
-                                if remaining <= chunk and self.idle_pause != here:
-                                    # Final chunk: the twin pushes its last
-                                    # wait Compute here, and that push's FIFO
-                                    # slot is what decides pop order when
-                                    # several streams re-converge on a common
-                                    # grid (trojans padded to one slot edge).
-                                    # Suspend once so this cursor's re-push
-                                    # lands in the same relative order.
-                                    self.idle_pause = here
-                                    return self._suspend(
-                                        clock, lead - 1, lead, last_advance
-                                    )
-                                last_advance = clock
-                                clock += remaining if remaining < chunk else chunk
-                                lead = 0
-                            if self.idle_pause == here:
-                                self.idle_pause = None
+                        here = (self.round_index, self.seg_index)
+                        while True:
+                            lead += 1
+                            remaining = target - clock
+                            if remaining <= 0:
+                                break
+                            if remaining <= chunk and self.idle_pause != here:
+                                # Final chunk: the per-op stream pushes its
+                                # last wait Compute here, and that push's
+                                # FIFO slot is what decides pop order when
+                                # several streams re-converge on a common
+                                # grid (trojans padded to one slot edge).
+                                # Suspend once so this cursor's re-push
+                                # lands in the same relative order.
+                                self.idle_pause = here
+                                return self._suspend(
+                                    clock, lead - 1, lead, last_advance
+                                )
+                            last_advance = clock
+                            clock += remaining if remaining < chunk else chunk
+                            lead = 0
+                        if self.idle_pause == here:
+                            self.idle_pause = None
                 elif kind is EpochRepeat:
                     burst = seg.burst
                     target = self.round_start + seg.until
-                    post = burst.post_cycles
                     while True:
-                        lead += 1  # the twin's margin-check clock read
+                        lead += 1  # the per-op margin-check clock read
                         if clock + seg.margin > target:
                             break
                         if clock >= deadline and (serviced or clock > entry):
@@ -244,11 +236,7 @@ class EpochCursor:
                             return self._suspend(clock, lead - 1, lead, last_advance)
                         start = clock
                         clock = start + service(burst, start)
-                        if post:
-                            last_advance = clock
-                            clock += post
-                        else:
-                            last_advance = start
+                        last_advance = start
                         lead = 0
                         serviced = True
                 else:
@@ -257,9 +245,9 @@ class EpochCursor:
                     )
                 self.seg_index += 1
             if op.period is not None:
-                # ``period - elapsed`` then add: the scalar path's pacing
+                # ``period - elapsed`` then add: the per-op pacing
                 # arithmetic, kept verbatim for bitwise clock equality.  A
-                # round-read kernel reads the clock to compute the pad.
+                # plan with round reads reads the clock to compute the pad.
                 if op.round_reads:
                     lead += 1
                 remaining = op.period - (clock - self.round_start)
@@ -326,36 +314,9 @@ class EpochCursor:
 
     def take_outcome(self) -> EpochOutcome:
         """Assemble the columnar result (call once, after completion)."""
-        if self._layout is not None:
-            counts, offsets, set_starts = self._layout
-        else:
-            counts = np.empty(0, dtype=np.int64)
-            offsets = np.empty(0, dtype=np.int64)
-            set_starts = np.empty(0, dtype=np.float64)
-        if self._starts:
-            starts = np.asarray(self._starts, dtype=np.float64)
-            latencies = np.vstack(self._lats)
-            hits = np.vstack(self._hits)
-            totals = np.asarray(self._totals, dtype=np.float64)
-        else:
-            width = int(counts.sum())
-            starts = np.empty(0, dtype=np.float64)
-            latencies = np.empty((0, width), dtype=np.float64)
-            hits = np.empty((0, width), dtype=bool)
-            totals = np.empty(0, dtype=np.float64)
-        return EpochOutcome(
-            starts=starts,
-            latencies=latencies,
-            hits=hits,
-            totals=totals,
-            set_counts=counts,
-            set_offsets=offsets,
-            set_starts=set_starts,
-            remote=self.remote,
-            bursts=self.bursts,
-            accesses=self.accesses,
-            begin=self.begin,
-            end=self.clock,
+        return _access_outcome(
+            self._layout, self._starts, self._lats, self._hits, self._totals,
+            self.remote, self.bursts, self.accesses, self.begin, self.clock,
         )
 
 
@@ -455,7 +416,7 @@ class LinkEpochCursor:
 
         Same contract as :meth:`EpochCursor.resume`: returns ``True`` on
         completion, otherwise the cursor clock is the re-queue time and
-        ``key_lead``/``key_since`` carry the scalar twin's FIFO tie key.
+        ``key_lead``/``key_since`` carry the per-op FIFO tie key.
         """
         op = self.op
         clock = self.clock
@@ -536,7 +497,7 @@ class LinkEpochCursor:
                 elif kind is LinkFlood:
                     if clock >= deadline and (serviced or clock > entry):
                         return self._suspend(clock, lead, lead, last_advance)
-                    # One scalar flooder iteration, arithmetic verbatim:
+                    # One flooder round, per-op arithmetic verbatim:
                     # size the posted burst to the remaining window, then
                     # hold the paced remainder of its lane reservation.
                     if self.stop_time is not None:
@@ -568,7 +529,7 @@ class LinkEpochCursor:
                     lead += 1
                     if target > clock:
                         if self.idle_pause != here:
-                            # The twin pushes its pad Sleep here; suspend
+                            # Per-op, the pad Sleep is pushed here; suspend
                             # once so this cursor's re-push takes the same
                             # FIFO slot when streams converge on a common
                             # slot grid (see EpochIdle's chunked wait).
@@ -581,21 +542,15 @@ class LinkEpochCursor:
                         lead = 0
                     if self.idle_pause == here:
                         self.idle_pause = None
-                elif kind is EpochIdle:
+                elif kind is EpochIdle and seg.until is None:
                     if seg.cycles:
                         last_advance = clock
                         clock += seg.cycles
                         lead = 0
-                    if seg.until is not None:
-                        target = self.round_start + seg.until
-                        if target > clock:
-                            last_advance = clock
-                            clock = target
-                            lead = 0
                 else:
                     raise SimulationError(
                         f"LinkEpoch segment {seg!r} is not a "
-                        "burst/flood/pad/idle"
+                        "burst/flood/pad/cycles idle"
                     )
                 self.seg_index += 1
             if op.period is not None:
@@ -710,7 +665,8 @@ class LinkEpochCursor:
                             lane_state[0] = lane1
                             lane_state[1] = depart1
                     transfers[edge] += 2
-                    queued[edge] += wait0 + wait1
+                    # In transfer order, as book_waits would.
+                    queued[edge] = queued[edge] + wait0 + wait1
                     busy_cycles[edge] += serialization * 2
                     pad = flow.hop_pad
                     if pad:
@@ -752,10 +708,7 @@ class LinkEpochCursor:
                 extras, new_busy = lane_walk(lane_state, stamps, serialization)
                 lane_state[:] = new_busy
                 transfers[edge] += count
-                hop_wait = 0.0
-                for wait_cycles in extras:
-                    hop_wait += wait_cycles
-                queued[edge] += hop_wait
+                queued[edge] = book_waits(queued[edge], extras)
                 busy_cycles[edge] += serialization * count
             else:
                 extras = [0.0] * count
@@ -770,13 +723,11 @@ class LinkEpochCursor:
                     )
                     lanes_by_hop[hop][:] = new_busy
                     transfers[edge] += count
-                    hop_wait = 0.0
                     for index in indices:
                         wait_cycles = waits[index]
-                        hop_wait += wait_cycles
                         extras[index] += wait_cycles
                         stamps[index] += wait_cycles + serialization
-                    queued[edge] += hop_wait
+                    queued[edge] = book_waits(queued[edge], waits)
                     busy_cycles[edge] += serialization * count
             pad = flow.hop_pad
             if pad:
@@ -868,24 +819,46 @@ class LinkEpochCursor:
 
     def take_outcome(self) -> LinkOutcome:
         """Assemble the columnar result (call once, after completion)."""
-        if self._starts:
-            starts = np.asarray(self._starts, dtype=np.float64)
-            latencies = np.vstack(self._lats)
-        else:
-            starts = np.empty(0, dtype=np.float64)
-            latencies = np.empty((0, self._width or 0), dtype=np.float64)
         return LinkOutcome(
-            starts=starts,
-            latencies=latencies,
-            bursts=self.bursts,
-            transfers=self.accesses,
-            begin=self.begin,
-            end=self.clock,
+            np.asarray(self._starts, dtype=np.float64), _rows(self._lats),
+            self.bursts, self.accesses, self.begin, self.clock,
         )
 
 
+def _rows(rows: List[Any], dtype=np.float64) -> np.ndarray:
+    """Stack per-burst rows (an empty outcome has shape ``(0, 0)``)."""
+    return np.vstack(rows) if rows else np.empty((0, 0), dtype=dtype)
+
+
+def _access_outcome(
+    layout, starts, lats, hits, totals, remote, bursts, accesses, begin, end
+) -> EpochOutcome:
+    """Assemble an :class:`EpochOutcome` from recorded burst rows; the
+    ``layout`` of the first recorded burst is ``None`` when none was."""
+    if layout is None:
+        layout = (
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.float64),
+        )
+    return EpochOutcome(
+        starts=np.asarray(starts, dtype=np.float64),
+        latencies=_rows(lats),
+        hits=_rows(hits, dtype=bool),
+        totals=np.asarray(totals, dtype=np.float64),
+        set_counts=layout[0],
+        set_offsets=layout[1],
+        set_starts=layout[2],
+        remote=remote,
+        bursts=bursts,
+        accesses=accesses,
+        begin=begin,
+        end=end,
+    )
+
+
 # ----------------------------------------------------------------------
-# Scalar-kernel adapter
+# Per-op adapters: epochify (ops -> plan) and unroll (plan -> ops)
 # ----------------------------------------------------------------------
 def _as_segment(op: Any):
     kind = type(op)
@@ -935,7 +908,7 @@ def epochify(kernel: Generator[Any, Any, Any]) -> Generator[Any, Any, Any]:
         except StopIteration as stop:
             if segments:
                 # round_reads=0: trace kernels never read the clock, so
-                # the twin has no zero-latency lead-in ops.
+                # the plan has no zero-latency lead-in ops.
                 yield AccessEpoch(
                     tuple(segments), rounds=1, record=False, round_reads=0
                 )
@@ -963,3 +936,199 @@ def epochify(kernel: Generator[Any, Any, Any]) -> Generator[Any, Any, Any]:
             except StopIteration as stop:
                 return stop.value
             result = yield op
+
+
+def unroll(op: Any) -> Generator[Any, Any, Any]:
+    """Run one :class:`AccessEpoch` or :class:`LinkEpoch` as per-op ops.
+
+    The inverse of :func:`epochify` and the reference the epoch cursors
+    are tested against: a runtime with per-op dispatch drives every plan
+    through here (``yield from unroll(plan)``), and the engine then
+    dispatches one heap event per op.  Returns the outcome the cursor
+    would have produced.  The op stream is the one the cursors' ``lead``
+    / ``last_advance`` tie keys model:
+
+    * each round checks ``rounds``, then reads the clock ``round_reads``
+      times; ``end_time`` / ``duration_cycles`` and the stop flag's grace
+      deadline are checked against the value just read;
+    * a burst is one :class:`ProbeSet` (one set), :class:`ProbeEpoch`
+      (several sets) or :class:`LinkProbe`;
+    * an idle of ``cycles`` is a ``Compute`` (``Sleep`` in a link plan);
+      a chunked idle and an :class:`EpochRepeat` re-read the clock before
+      every step; a :class:`LinkPad` reads it once and sleeps the rest;
+    * ``period`` reads the clock (when the plan has round reads) and pads
+      with a ``Compute``.
+
+    The clock between reads is the latest read plus the op latencies
+    since -- the engine's own sums, so recorded burst starts are exact.
+    A plan with no round reads must not need the clock.  A plan that
+    never reads it (no round reads, or no rounds) reports NaN
+    ``begin``/``end``.
+    """
+    link = type(op) is LinkEpoch
+    if not link and type(op) is not AccessEpoch:
+        raise SimulationError(f"unroll needs an AccessEpoch or LinkEpoch, not {op!r}")
+    if not op.round_reads and (
+        op.period is not None
+        or op.end_time is not None
+        or getattr(op, "duration_cycles", None) is not None
+        or getattr(op, "stop_flag", None) is not None
+        or getattr(op, "record", False)
+        or any(
+            getattr(seg, "until", None) is not None or getattr(seg, "record", False)
+            for seg in op.segments
+        )
+    ):
+        raise SimulationError("a plan with round_reads=0 never reads the clock")
+    idle = Sleep if link else Compute
+    stop_flag = getattr(op, "stop_flag", None)
+    record = not link and op.record
+    begin = clock = float("nan")
+    horizon = op.end_time
+    stop_at: Optional[float] = None
+    bursts = accesses = 0
+    remote = link
+    layout = None
+    starts: List[float] = []
+    lats: List[Any] = []
+    hits: List[Any] = []
+    totals: List[float] = []
+
+    def access_burst(burst: EpochBurst, start: float):
+        nonlocal bursts, accesses, remote, layout
+        sets = burst.sets
+        if len(sets) == 1:
+            result = yield ProbeSet(
+                burst.buffer, sets[0], parallel=burst.parallel,
+                issue_gap=burst.issue_gap,
+            )
+            row, hit_row = result.latencies, result.hits
+        else:
+            result = yield ProbeEpoch(
+                burst.buffer, sets, parallel=burst.parallel,
+                issue_gap=burst.issue_gap,
+            )
+            row = [lat for per_set in result.set_latencies for lat in per_set]
+            hit_row = [hit for per_set in result.set_hits for hit in per_set]
+        bursts += 1
+        accesses += len(row)
+        remote = remote or result.remote
+        if record:
+            if layout is None:
+                counts = np.asarray([len(s) for s in sets], dtype=np.int64)
+                offsets = np.cumsum(counts) - counts
+                set_starts = np.zeros(len(sets), dtype=np.float64)
+                if burst.parallel:
+                    set_starts = offsets.astype(np.float64) * burst.issue_gap
+                layout = (counts, offsets, set_starts)
+            elif len(row) != len(lats[0]):
+                raise SimulationError(
+                    "recorded epoch bursts must share one set layout; "
+                    "use record=False for heterogeneous plans"
+                )
+            starts.append(start)
+            lats.append(row)
+            hits.append(hit_row)
+            totals.append(result.total_latency)
+        return start + result.total_latency
+
+    round_index = 0
+    while op.rounds is None or round_index < op.rounds:
+        for _ in range(op.round_reads):
+            clock = yield ReadClock()
+        if round_index == 0:
+            begin = clock
+            duration = getattr(op, "duration_cycles", None)
+            if duration is not None and (horizon is None or begin + duration < horizon):
+                horizon = begin + duration
+        if horizon is not None and clock >= horizon:
+            break
+        if stop_flag is not None and stop_at is None and len(stop_flag):
+            stop_at = clock + op.grace_cycles
+        if stop_at is not None and clock >= stop_at:
+            break
+        round_start = clock
+        for seg in op.segments:
+            kind = type(seg)
+            if kind is EpochBurst and not link:
+                clock = yield from access_burst(seg, clock)
+            elif kind is LinkBurst and link:
+                result = yield LinkProbe(
+                    seg.dst_gpu, seg.num_transfers, seg.gap_cycles, seg.wait
+                )
+                bursts += 1
+                accesses += seg.num_transfers
+                if seg.record:
+                    if lats and len(result.latencies) != len(lats[0]):
+                        raise SimulationError(
+                            "recorded link-epoch bursts must share one width; "
+                            "use record=False for heterogeneous plans"
+                        )
+                    starts.append(clock)
+                    lats.append(result.latencies)
+                clock += result.total_latency
+            elif kind is EpochIdle and not (link and seg.until is not None):
+                if seg.cycles:
+                    yield idle(seg.cycles)
+                    clock += seg.cycles
+                if seg.until is not None:
+                    target = round_start + seg.until
+                    while True:
+                        clock = yield ReadClock()
+                        remaining = target - clock
+                        if remaining <= 0:
+                            break
+                        step = remaining if remaining < seg.chunk else seg.chunk
+                        yield Compute(step)
+                        clock += step
+            elif kind is EpochRepeat and not link:
+                target = round_start + seg.until
+                while True:
+                    clock = yield ReadClock()
+                    if clock + seg.margin > target:
+                        break
+                    clock = yield from access_burst(seg.burst, clock)
+            elif kind is LinkFlood and link:
+                window = seg.burst_cycles
+                if horizon is not None:
+                    window = min(window, horizon - clock)
+                count = max(1, int(window / seg.occupancy_per_transfer))
+                result = yield LinkProbe(
+                    seg.dst_gpu, count, seg.gap_cycles, wait=False
+                )
+                bursts += 1
+                accesses += count
+                clock += result.total_latency
+                hold = max(
+                    count * seg.occupancy_per_transfer - count * seg.gap_cycles,
+                    0.0,
+                )
+                if hold > 0.0:
+                    yield Sleep(hold)
+                    clock += hold
+            elif kind is LinkPad and link:
+                target = round_start + seg.until
+                clock = yield ReadClock()
+                if target > clock:
+                    yield Sleep(target - clock)
+                    clock += target - clock
+            else:
+                raise SimulationError(
+                    f"{type(op).__name__} segment {seg!r} has no per-op form"
+                )
+        if op.period is not None:
+            if op.round_reads:
+                clock = yield ReadClock()
+            remaining = op.period - (clock - round_start)
+            if remaining > 0:
+                yield Compute(remaining)
+                clock += remaining
+        round_index += 1
+    if link:
+        return LinkOutcome(
+            np.asarray(starts, dtype=np.float64), _rows(lats),
+            bursts, accesses, begin, clock,
+        )
+    return _access_outcome(
+        layout, starts, lats, hits, totals, remote, bursts, accesses, begin, clock
+    )

@@ -139,11 +139,11 @@ class EpochBurst:
     tuple of per-set word-index tuples over one buffer, traversed
     back-to-back with the same issue semantics (parallel: flat access
     ``p`` issues at ``start + p * issue_gap``; sequential: all accesses
-    stamped at the burst start, latencies accumulate).  ``post_cycles``
-    charges a fixed stream cost after the burst completes -- e.g. the
-    covert spy's two shared-memory staging stores -- without a separate
-    engine event.  Reuse ONE burst object across rounds: the flattened
-    physical-address plan is cached by identity.
+    stamped at the burst start, latencies accumulate).  Reuse ONE burst
+    object across rounds: the flattened physical-address plan is cached
+    by identity.  Per-op, a one-set burst is a :class:`ProbeSet` and a
+    multi-set burst a :class:`ProbeEpoch` (see
+    :func:`repro.sim.epoch.unroll`).
     """
 
     buffer: "DeviceBuffer"
@@ -151,8 +151,6 @@ class EpochBurst:
     parallel: bool = True
     #: Cycles between consecutive issue slots in parallel mode.
     issue_gap: float = 4.0
-    #: Fixed cycles charged to the stream after the burst completes.
-    post_cycles: float = 0.0
 
     @property
     def count(self) -> int:
@@ -163,19 +161,23 @@ class EpochBurst:
 class EpochIdle:
     """Advance the epoch clock without touching any resource.
 
-    ``cycles`` adds a relative delay; ``until`` (relative to the current
-    *round* start) fast-forwards to an absolute point on the round's time
-    axis -- ``clock = max(clock, round_start + until)`` -- which is how a
-    trojan pads out the remainder of a bit slot in one step instead of a
-    train of 200-cycle Compute chunks.  ``chunk`` makes the fast-forward
-    accumulate in ``min(remaining, chunk)`` steps, reproducing a scalar
-    wait loop's float arithmetic bit-for-bit (the clocks of both backends
-    then agree exactly, not just to rounding error).
+    ``cycles`` adds a relative delay (one ``Compute``, or ``Sleep`` in a
+    :class:`LinkEpoch`).  ``until`` (relative to the current *round*
+    start, :class:`AccessEpoch` only) waits out the round up to that
+    point in ``min(remaining, chunk)`` steps: the per-op form is a wait
+    loop of one ``ReadClock`` plus one ``Compute`` per step, which is
+    how a trojan pads out the remainder of a bit slot.  ``until`` and
+    ``chunk`` go together; a :class:`LinkEpoch` pads with
+    :class:`LinkPad` instead.
     """
 
     cycles: float = 0.0
     until: Optional[float] = None
     chunk: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if (self.until is None) != (self.chunk is None):
+            raise ValueError("EpochIdle takes until and chunk together")
 
 
 @dataclass(frozen=True)
@@ -197,8 +199,8 @@ class AccessEpoch:
     """A whole access *plan*, advanced in bulk by the engine's epoch cursor.
 
     ``segments`` run in order once per round; ``rounds=None`` repeats until
-    a termination condition fires.  Round-start checks reproduce the
-    scalar prober loop exactly, in order:
+    a termination condition fires.  After the ``rounds`` count, the
+    round-start checks run in order (the memorygram prober's sweep loop):
 
     1. ``end_time`` (absolute): round starting at or past it ends the epoch.
     2. ``stop_flag`` (any sized container): first round that starts with it
@@ -210,13 +212,13 @@ class AccessEpoch:
     ``record=False`` skips per-access result assembly (victim workloads:
     cache side effects and counters only).
 
-    ``round_reads`` declares how many zero-latency clock reads the scalar
-    kernel being mirrored performs at each round start (the prober's and
-    spy's ``yield ReadClock()``).  The engine uses it to reconstruct the
-    scalar event loop's FIFO order when several streams are queued at the
-    *same* instant (e.g. trojans padded to one slot grid), so tied bursts
-    land in the oracle's exact order.  Use 0 for plans with no scalar
-    clock reads (victim traces, warm-up primes).
+    ``round_reads`` is how many ``ReadClock`` ops the plan's per-op form
+    (:func:`repro.sim.epoch.unroll`) performs at each round start; the
+    round-start checks use the value just read.  The cursor uses it to
+    reconstruct the per-op event loop's FIFO order when several streams
+    are queued at the *same* instant (e.g. trojans padded to one slot
+    grid), so tied bursts land in the per-op order.  Use 0 only for
+    plans that never need the clock (victim traces, warm-up primes).
     """
 
     segments: Tuple[Union[EpochBurst, EpochIdle, EpochRepeat], ...]
@@ -278,7 +280,7 @@ class LinkBurst:
 class LinkFlood:
     """A self-paced flood window inside a :class:`LinkEpoch`.
 
-    One round of the scalar flooder loop as a declarative segment: fill a
+    One round of a flooder loop as a declarative segment: fill a
     ``burst_cycles`` window with back-to-back posted transfers
     (``count = max(1, int(window / occupancy_per_transfer))``, window
     clipped to the epoch's remaining time), then hold the stream for the
@@ -299,10 +301,9 @@ class LinkPad:
     """Pad the stream to an absolute point on the round's time axis.
 
     The trojan's slot alignment: ``clock = max(clock, round_start +
-    until)``, mirroring the scalar kernel's single clock read followed by
-    one ``Sleep`` of the remainder (no re-check read after the sleep --
-    unlike :class:`EpochIdle`'s chunked wait loop, so the suspension keys
-    of both backends line up transfer-for-transfer).
+    until)``.  Per-op it is a single clock read followed by one ``Sleep``
+    of the remainder (no re-check read after the sleep, unlike
+    :class:`EpochIdle`'s chunked wait loop).
     """
 
     until: float
@@ -316,8 +317,7 @@ class LinkEpoch:
     order once per round; ``rounds=None`` repeats until ``end_time`` (or
     ``duration_cycles`` past the epoch's begin) stops the plan at a round
     start.  ``period`` pads each round out to a fixed grid, and
-    ``round_reads`` plays the same FIFO-order role as on
-    :class:`AccessEpoch` (the scalar kernels' per-round ``ReadClock``).
+    ``round_reads`` plays the same role as on :class:`AccessEpoch`.
     The route, peer-access check, and per-hop serialization state are
     resolved once per epoch and reused across every burst.
     """

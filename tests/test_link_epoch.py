@@ -374,11 +374,3 @@ class TestVictimEpochKernel:
         cells = lambda fn: [c.cell_contents for c in fn.__closure__]
         assert victim_traffic_kernel in cells(saturating)
         assert victim_traffic_epoch_kernel in cells(bursty)
-
-    def test_scalar_dispatch_launcher_keeps_scalar_kernel(self):
-        rt = _runtime(False, seed=1)
-        recorder = LinkgramRecorder(rt)
-        recorder.setup()
-        launcher = recorder.victim_launcher(1, 2, duration_cycles=10_000.0)
-        cells = [c.cell_contents for c in launcher.__closure__]
-        assert victim_traffic_kernel in cells

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.eviction import EvictionSet
 from repro.core.sidechannel.prober import MemorygramProber
 from repro.errors import AttackError
 from repro.workloads.vectoradd import VectorAdd
@@ -25,6 +26,16 @@ class TestSetup:
     def test_record_without_setup_raises(self, runtime):
         with pytest.raises(AttackError):
             MemorygramProber(runtime).record()
+
+    def test_sets_spanning_two_buffers_raise(self, runtime, prober):
+        # A sweep is one burst over one probe buffer.
+        other = runtime.malloc_lines(prober.process, 0, 64, name="second")
+        first = prober.eviction_sets[1]
+        prober.eviction_sets[1] = EvictionSet(
+            other, first.indices, first.set_id, first.origin
+        )
+        with pytest.raises(AttackError, match="one probe buffer"):
+            prober.record(victim=None)
 
 
 class TestRecording:
