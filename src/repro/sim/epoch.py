@@ -961,9 +961,11 @@ def unroll(op: Any) -> Generator[Any, Any, Any]:
 
     The clock between reads is the latest read plus the op latencies
     since -- the engine's own sums, so recorded burst starts are exact.
-    A plan with no round reads must not need the clock.  A plan that
-    never reads it (no round reads, or no rounds) reports NaN
-    ``begin``/``end``.
+    A preemption fault that delays a queued op is invisible to that sum
+    until the next read; every attack plan records only bursts that
+    follow their round's read directly.  A plan with no round reads must
+    not need the clock.  A plan that never reads it (no round reads, or
+    no rounds) reports NaN ``begin``/``end``.
     """
     link = type(op) is LinkEpoch
     if not link and type(op) is not AccessEpoch:
