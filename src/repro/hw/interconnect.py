@@ -463,13 +463,16 @@ class Interconnect:
 
         Returns ``(extra_cycles, hops)``: the queueing + multi-hop delay to
         add on top of the base remote latency, and the hop count.  Each
-        transfer occupies the least-busy lane of every link on its route.
+        transfer occupies the least-busy lane of every link on its route;
+        with metrics attached, each hop that queued counts one stall under
+        its own link, as every fabric walk does.
         """
         if src_gpu == dst_gpu:
             return 0.0, 0
         route = self.topology.path(src_gpu, dst_gpu)
         base_serialization = self.spec.nvlink.serialization_cycles
         degraded = self._degraded
+        metrics = self.metrics
         extra = 0.0
         clock = now
         for edge in route:
@@ -484,14 +487,14 @@ class Interconnect:
             self._transfers[edge] += 1
             self._queued_cycles[edge] += wait
             self._busy_cycles[edge] += serialization
+            if metrics is not None and wait > 0.0:
+                metrics.count_stall(self._edge_keys[edge], wait)
             extra += wait
             clock += wait + serialization
         # The first hop's base latency is part of TimingSpec.remote_*;
         # additional hops each add a fixed penalty.
         queue_wait = extra
         extra += (len(route) - 1) * self.spec.timing.per_extra_hop
-        if self.metrics is not None and queue_wait > 0.0:
-            self.metrics.count_stall(self._edge_keys[route[0]], queue_wait)
         if self.tracer is not None and queue_wait > 0.0:
             self.tracer.emit(
                 "nvlink_stall",

@@ -713,7 +713,7 @@ class MultiGPUSystem:
     ):
         """Epoch-native :meth:`probe_link` against a cached fabric flow.
 
-        The :class:`~repro.sim.epoch.LinkEpochCursor` service core: the
+        The :class:`~repro.sim.epoch.EpochCursor`'s link service core: the
         same fabric arithmetic as :meth:`probe_link` (so the two dispatch
         backends are bit-identical) minus its per-call route lookup,
         ``LinkProbeResult`` tuple materialization and unused wait math.
@@ -1020,7 +1020,7 @@ class MultiGPUSystem:
         # replays :meth:`Interconnect.transfer`'s lane arithmetic, and
         # its counters and stall metrics flush once per burst.  With a
         # tracer attached the per-access calls are kept so stall events
-        # stay faithful.
+        # stay faithful; both walks book stall metrics per hop.
         inter = self.interconnect
         inline_link = remote and inter.tracer is None
         if inline_link:

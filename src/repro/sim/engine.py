@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
 
 from ..errors import SimulationError
-from .epoch import EpochCursor, LinkEpochCursor
+from .epoch import EpochCursor
 from .ops import (
     Access,
     AccessEpoch,
@@ -184,7 +184,8 @@ class StreamHandle:
         self.pending: Any = None
         self.placement = None
         #: In-flight :class:`~repro.sim.epoch.EpochCursor`, when the
-        #: stream's current op is an AccessEpoch being advanced in bulk.
+        #: stream's current op is an AccessEpoch or LinkEpoch being
+        #: advanced in bulk.
         self.cursor: Optional[EpochCursor] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -312,12 +313,8 @@ class Engine:
                         if metrics is not None:
                             metrics.count_kernel("end", handle.gpu_id)
                         continue
-                    if type(op) is AccessEpoch:
+                    if type(op) is AccessEpoch or type(op) is LinkEpoch:
                         cursor = EpochCursor(op, handle, self.system, when)
-                        handle.cursor = cursor
-                        handle.pending = None
-                    elif type(op) is LinkEpoch:
-                        cursor = LinkEpochCursor(op, handle, self.system, when)
                         handle.cursor = cursor
                         handle.pending = None
                     else:

@@ -318,8 +318,10 @@ class LinkEpoch:
     ``duration_cycles`` past the epoch's begin) stops the plan at a round
     start.  ``period`` pads each round out to a fixed grid, and
     ``round_reads`` plays the same role as on :class:`AccessEpoch`.
-    The route, peer-access check, and per-hop serialization state are
-    resolved once per epoch and reused across every burst.
+    Peer access is checked once per epoch; the route's cached fabric
+    flow is re-fetched per burst through
+    :meth:`~repro.hw.interconnect.Interconnect.route_state`, so link
+    flaps and degradations between bursts are picked up.
     """
 
     segments: Tuple[Union["LinkBurst", "LinkFlood", "LinkPad", EpochIdle], ...]

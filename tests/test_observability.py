@@ -283,11 +283,10 @@ class TestAttackMetricsWiring:
 
     @pytest.mark.parametrize("parallel", [True, False], ids=["parallel", "sequential"])
     def test_narrow_burst_stalls_split_per_hop_on_two_hop_routes(self, parallel):
-        """Over DGX-2's switch (two hops) the fused core reports each hop's
-        stalls under that hop's link, split exactly as
-        ``Interconnect.transfer_batch`` splits them.  The scalar backend's
-        per-line ``Interconnect.transfer`` puts a transfer's whole wait on
-        the first link as one event; the cycles agree in sum."""
+        """Over DGX-2's switch (two hops) the fused core and the scalar
+        backend's per-line ``Interconnect.transfer`` both report each
+        hop's stalls under that hop's link, split exactly as
+        ``Interconnect.transfer_batch`` splits them."""
         spec = DGXSpec.small(num_gpus=8).with_topology("dgx2")
         first, second = "link1-8", "link0-8"  # GPU 1 -> switch 8 -> GPU 0
         lines = 24
@@ -328,13 +327,43 @@ class TestAttackMetricsWiring:
         cycles = 'nvlink_stall_cycles_total{link="%s"}'
         for link in (first, second):
             assert vec[events % link] > 0
-            assert vec[events % link] == batch[events % link]
-            assert vec[cycles % link] == pytest.approx(batch[cycles % link])
-        assert events % second not in ref
-        assert ref[events % first] == lines - 2  # all but one per lane
-        assert vec[cycles % first] + vec[cycles % second] == pytest.approx(
-            ref[cycles % first]
-        )
+            for arm in (vec, ref):
+                assert arm[events % link] == batch[events % link]
+                assert arm[cycles % link] == pytest.approx(batch[cycles % link])
+
+    def test_tracer_leaves_two_hop_stall_metrics_unchanged(self):
+        """A tracer sends the fused core's link walk through the per-line
+        ``Interconnect.transfer`` instead of ``FabricFlow.advance_one``;
+        the per-hop stall metrics must come out the same either way."""
+        spec = DGXSpec.small(num_gpus=8).with_topology("dgx2")
+        lines = 24
+        snaps = {}
+        for traced in (False, True):
+            rt = Runtime(spec, seed=7)
+            route = rt.system.topology.path(1, 0)
+            rt.system.interconnect.degrade_link(route[1], 3.0)
+            metrics = attach_metrics(rt)
+            if traced:
+                attach_tracer(rt)
+            process = rt.create_process("prober")
+            rt.enable_peer_access(process, 1, 0)
+            wpl = rt.system.spec.gpu.cache.line_size // 8
+            buf = rt.malloc_lines(process, 0, lines)
+            indices = [line * wpl for line in range(lines)]
+
+            def kernel():
+                yield ProbeSet(buf, indices, parallel=True)
+
+            rt.run_kernel(kernel(), 1, process)
+            snaps[traced] = {
+                key: value
+                for key, value in metrics.registry.snapshot().items()
+                if key.startswith("nvlink_stall_")
+            }
+        untraced = snaps[False]
+        for link in ("link1-8", "link0-8"):
+            assert untraced['nvlink_stall_events_total{link="%s"}' % link] == 22
+        assert snaps[True] == untraced
 
 
 # ----------------------------------------------------------------------
