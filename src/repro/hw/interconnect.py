@@ -30,12 +30,11 @@ __all__ = ["Interconnect", "FabricFlow", "least_busy_lane", "SMALL_BATCH"]
 
 Edge = FrozenSet[int]
 
-#: Batches below this size take the pure-Python fabric walk.  Two reasons
-#: the threshold is exactly 8: numpy's fixed per-call overhead only pays
-#: for itself beyond a handful of elements, and numpy's pairwise ``sum``
-#: reduces strictly left-to-right for fewer than 8 elements -- which is
-#: what keeps the Python path's in-order ``hop_wait`` stall sums
-#: bit-identical to ``float(waits.sum())`` on the vectorized path.
+#: Bursts below this size take :meth:`FabricFlow.advance_batch_small`,
+#: the pure-Python walk: numpy's fixed per-call overhead only pays for
+#: itself beyond a handful of elements.  Both walks produce the same
+#: floats at any width (one lane arithmetic, one in-order booking), so
+#: the threshold moves time only, never a result.
 SMALL_BATCH = 8
 
 
@@ -47,12 +46,10 @@ def _edge_key(edge: Edge) -> str:
 def book_waits(total: float, waits) -> float:
     """``total`` plus each of one hop's ``waits``, added in transfer order.
 
-    The queued-cycles counters are booked this way on every fabric walk,
-    because :meth:`Interconnect.transfer` and
-    :meth:`FabricFlow.flush_counters` add one wait at a time: booking a
-    per-hop sum instead rounds differently, so the same traffic would
-    leave different counters depending on the walk that carried it.
-    ``waits`` is a numpy array (one sequential accumulate) or a list.
+    Every fabric walk books its queued cycles and stall sums this way, so
+    the same traffic leaves the same counters whichever walk carried it
+    (a pairwise or per-hop sum rounds differently).  ``waits`` is a numpy
+    array (one sequential accumulate) or a list.
     """
     if isinstance(waits, np.ndarray):
         return float(np.add.accumulate(np.concatenate(([total], waits)))[-1])
@@ -64,11 +61,11 @@ def book_waits(total: float, waits) -> float:
 def least_busy_lane(lanes) -> int:
     """Index of the first least-busy lane (ties resolve to lane 0).
 
-    The one shared definition of the lane-selection tie-break: the scalar
-    :meth:`Interconnect.transfer` oracle and the fused small-burst core in
-    :mod:`repro.hw.system` must pick the *same* lane or their busy-until
-    states drift.  Two lanes is the stock :class:`~repro.config.LinkSpec`
-    shape, so it short-circuits the generic first-minimum scan.
+    The lane-selection tie-break of the one-transfer walk
+    (:meth:`FabricFlow.advance_one`); the batch walks reach the same busy
+    multiset through :mod:`repro.hw.occupancy`.  Two lanes is the stock
+    :class:`~repro.config.LinkSpec` shape, so it short-circuits the
+    generic first-minimum scan.
     """
     if len(lanes) == 2:
         return 0 if lanes[0] <= lanes[1] else 1
@@ -79,21 +76,23 @@ class FabricFlow:
     """Cached columnar route state for one ``(src, dst, owner)`` flow.
 
     Built once per flow by :meth:`Interconnect.route_state` and reused
-    across every transfer batch of that flow: the route's edges, cached
+    across every transfer of that flow: the route's edges, cached
     metric-key strings, *live* lane busy-until lists (mutated in place,
-    so interleaved scalar transfers always see the same state), and the
-    per-hop serialization delays gathered from the interconnect's
+    so every walk of the flow sees the same state), and the per-hop
+    serialization delays gathered from the interconnect's
     degradation-folded serialization array via the topology's numpy route
     table.  A ``token`` snapshot of (routes version, degradation version,
     lane-state version) invalidates the flow when a link flap reroutes
     the fabric, a chaos fault changes a degradation factor, or the lane
     state is rebuilt.
 
-    :meth:`advance_batch` replays :meth:`Interconnect.transfer_batch`'s
-    arithmetic expression-for-expression (bit-identical results by
-    construction); :meth:`advance_one` replays :meth:`Interconnect.transfer`
-    with counter updates accumulated locally and flushed per burst via
-    :meth:`flush_counters` (the fused small-burst contract).
+    The flow is the one place that walks NVLink lanes (the epoch
+    cursor's fused link closures aside).  Three walks charge transfers:
+    :meth:`advance_batch` (numpy) and its bitwise twin
+    :meth:`advance_batch_small` (plain Python: short bursts and the
+    scalar reference arm), and :meth:`advance_one` (one transfer, booked
+    later by :meth:`flush_counters`).  All three book each hop through
+    :meth:`_book_hop`.
     """
 
     __slots__ = (
@@ -129,128 +128,108 @@ class FabricFlow:
         self.token = inter._state_token()
 
     # ------------------------------------------------------------------
+    def _book_hop(
+        self, hop: int, count: int, waits, stalled: int, stamp: float
+    ) -> None:
+        """Book ``count`` transfers across ``hop``, ``stalled`` of which
+        queued for ``waits``.
+
+        The one per-hop booking of every walk: the link's transfer and
+        busy counters, its queued cycles (:func:`book_waits`) and, when a
+        transfer queued, one stall report to the metrics registry and one
+        ``nvlink_stall_batch`` trace event stamped ``stamp`` whose
+        ``dur`` is the hop's summed queueing.  ``waits`` lists the hop's
+        waits in transfer order (zeros may be left in); the stall sum
+        adds them in that order, as the queued cycles are.
+        """
+        inter = self.inter
+        edge = self.edges[hop]
+        inter._transfers[edge] += count
+        inter._busy_cycles[edge] += self.serialization[hop] * count
+        if not stalled:
+            return
+        inter._queued_cycles[edge] = book_waits(inter._queued_cycles[edge], waits)
+        metrics = inter.metrics
+        tracer = inter.tracer
+        if metrics is None and tracer is None:
+            return
+        hop_wait = book_waits(0.0, waits)
+        if metrics is not None:
+            metrics.count_stall(self.keys[hop], hop_wait, events=stalled)
+        if tracer is not None:
+            a, b = sorted(edge)
+            tracer.emit(
+                "nvlink_stall_batch",
+                "nvlink",
+                stamp,
+                dur=hop_wait,
+                gpu=self.src,
+                args={
+                    "src": self.src,
+                    "dst": self.dst,
+                    "hop": hop,
+                    "link": [a, b],
+                    "hops": self.hops,
+                    "transfers": count,
+                },
+            )
+
     def advance_batch(self, stamps: np.ndarray) -> np.ndarray:
         """Charge a transfer batch on the cached route; returns extras.
 
-        Bit-identical to :meth:`Interconnect.transfer_batch` (same
-        per-hop ``multi_server_waits`` walk, same float expression
-        order), with the route/degradation/key lookups hoisted out.
-        Counters, stall metrics and ``nvlink_stall_batch`` trace events
-        are emitted exactly as the oracle would.
+        ``stamps`` must be non-decreasing (batch issue order).  Each
+        transfer occupies the least-busy lane of every link on the route,
+        and queueing on one link delays its arrival at the next: one
+        :func:`~repro.hw.occupancy.multi_server_waits` walk per hop, each
+        booked with its stall event stamped when the batch reaches the
+        link.  The extras add the multi-hop penalty.
         """
-        inter = self.inter
         n = stamps.size
         extras = np.zeros(n, dtype=np.float64)
         if n == 0:
             return extras
-        metrics = inter.metrics
-        tracer = inter.tracer
-        transfers = inter._transfers
-        queued = inter._queued_cycles
-        busy_cycles = inter._busy_cycles
         clock = np.asarray(stamps, dtype=np.float64).copy()
         for hop in range(self.hops):
-            edge = self.edges[hop]
             serialization = self.serialization[hop]
             lanes = self.lanes[hop]
             arrival = float(clock[0])
             waits, new_busy = multi_server_waits(
                 np.asarray(lanes), clock, serialization
             )
-            lanes[:] = [float(b) for b in new_busy]
-            transfers[edge] += int(n)
-            hop_wait = float(waits.sum())
-            if hop_wait:
-                queued[edge] = book_waits(queued[edge], waits)
-            busy_cycles[edge] += serialization * n
+            lanes[:] = new_busy.tolist()
+            self._book_hop(hop, n, waits, int(np.count_nonzero(waits)), arrival)
             extras += waits
             clock += waits + serialization
-            if metrics is not None and hop_wait > 0.0:
-                metrics.count_stall(
-                    self.keys[hop], hop_wait, events=int((waits > 0.0).sum())
-                )
-            if tracer is not None and hop_wait > 0.0:
-                a, b = sorted(edge)
-                tracer.emit(
-                    "nvlink_stall_batch",
-                    "nvlink",
-                    arrival,
-                    dur=hop_wait,
-                    gpu=self.src,
-                    args={
-                        "src": self.src,
-                        "dst": self.dst,
-                        "hop": hop,
-                        "link": [a, b],
-                        "hops": self.hops,
-                        "transfers": int(n),
-                    },
-                )
         extras += self.hop_pad
         return extras
 
     def advance_batch_small(self, stamps) -> list:
-        """Pure-Python :meth:`advance_batch` for short bursts.
+        """Pure-Python :meth:`advance_batch` on plain float sequences.
 
         Takes and returns plain Python floats (``stamps`` is a sequence,
         the result a list of extras) so a 2- or 4-transfer probe burst
-        never crosses into numpy at all.  Counters, stall metrics and
-        ``nvlink_stall_batch`` events match :meth:`advance_batch`
-        bit-for-bit: the lane walk goes through
-        :func:`~repro.hw.occupancy.multi_server_waits_scalar` and the
-        per-hop wait sum accumulates left-to-right, which equals numpy's
-        pairwise sum below :data:`SMALL_BATCH` elements.
+        never crosses into numpy at all; the scalar reference arm sends
+        every batch this way.  The lane walk is
+        :func:`~repro.hw.occupancy.multi_server_waits_scalar`, the twin of
+        the vectorized one, so extras, lanes and bookings match
+        :meth:`advance_batch` bit for bit at any width.
         """
-        inter = self.inter
         n = len(stamps)
         if n == 0:
             return []
-        metrics = inter.metrics
-        tracer = inter.tracer
-        transfers = inter._transfers
-        queued = inter._queued_cycles
-        busy_cycles = inter._busy_cycles
         clock = list(stamps)
         extras = [0.0] * n
         for hop in range(self.hops):
-            edge = self.edges[hop]
             serialization = self.serialization[hop]
             lanes = self.lanes[hop]
             arrival = clock[0]
             waits, new_busy = multi_server_waits_scalar(lanes, clock, serialization)
             lanes[:] = new_busy
-            transfers[edge] += n
-            hop_wait = 0.0
+            self._book_hop(hop, n, waits, n - waits.count(0.0), arrival)
             for i in range(n):
                 wait = waits[i]
-                hop_wait += wait
                 extras[i] += wait
                 clock[i] += wait + serialization
-            queued[edge] = book_waits(queued[edge], waits)
-            busy_cycles[edge] += serialization * n
-            if metrics is not None and hop_wait > 0.0:
-                metrics.count_stall(
-                    self.keys[hop],
-                    hop_wait,
-                    events=sum(1 for wait in waits if wait > 0.0),
-                )
-            if tracer is not None and hop_wait > 0.0:
-                a, b = sorted(edge)
-                tracer.emit(
-                    "nvlink_stall_batch",
-                    "nvlink",
-                    arrival,
-                    dur=hop_wait,
-                    gpu=self.src,
-                    args={
-                        "src": self.src,
-                        "dst": self.dst,
-                        "hop": hop,
-                        "link": [a, b],
-                        "hops": self.hops,
-                        "transfers": n,
-                    },
-                )
         pad = self.hop_pad
         if pad:
             for i in range(n):
@@ -260,12 +239,10 @@ class FabricFlow:
     def advance_one(self, now: float) -> float:
         """Charge one transfer on the cached route; returns extra cycles.
 
-        The fused small-burst walk: :meth:`Interconnect.transfer`'s lane
-        arithmetic with the transfer count and each hop's nonzero waits
-        kept on the flow and folded in once per burst by
-        :meth:`flush_counters`.  No per-transfer tracer event: the fused
-        core calls :meth:`Interconnect.transfer` instead when one is
-        attached.
+        Walks the least-busy lane of each hop (:func:`least_busy_lane`)
+        and keeps the transfer count and each hop's nonzero waits on the
+        flow; :meth:`flush_counters` books them, once per fused burst or
+        right away for :meth:`Interconnect.transfer`.
         """
         extra = 0.0
         clock = now
@@ -288,34 +265,18 @@ class FabricFlow:
         self.count_acc += 1
         return extra + self.hop_pad
 
-    def flush_counters(self) -> None:
-        """Fold accumulated :meth:`advance_one` work into the counters.
-
-        Queued cycles are booked with :func:`book_waits`, so they equal
-        the per-transfer sums of :meth:`Interconnect.transfer` bit for
-        bit.  With a metrics registry attached, each hop that queued
-        reports its wait sum and stalled-transfer count under its own
-        link key -- the per-hop accounting of :meth:`advance_batch_small`.
-        """
+    def flush_counters(self, now: float) -> None:
+        """Book the transfers :meth:`advance_one` charged since the last
+        flush: one :meth:`_book_hop` per hop, whose stall event (if any)
+        is stamped ``now``, the burst's issue time."""
         count = self.count_acc
         if not count:
             return
-        inter = self.inter
-        metrics = inter.metrics
-        for hop, edge in enumerate(self.edges):
-            inter._transfers[edge] += count
-            inter._busy_cycles[edge] += self.serialization[hop] * count
-            waits = self.stalls[hop]
-            if waits:
-                inter._queued_cycles[edge] = book_waits(
-                    inter._queued_cycles[edge], waits
-                )
-                if metrics is not None:
-                    metrics.count_stall(
-                        self.keys[hop], book_waits(0.0, waits), events=len(waits)
-                    )
-                waits.clear()
         self.count_acc = 0
+        for hop in range(self.hops):
+            waits = self.stalls[hop]
+            self._book_hop(hop, count, waits, len(waits), now)
+            waits.clear()
 
 
 class Interconnect:
@@ -333,13 +294,13 @@ class Interconnect:
         #: flows); lifetime totals are *pulled* from
         #: :meth:`counters_snapshot` at export.
         self.metrics = None
-        #: Arm switch for the fabric hot path: the scalar reference arm
-        #: (``l2_backend == "scalar"``) drives :meth:`transfer_batch`
-        #: through the per-element Python lane walk, so the perf benches
-        #: compare the columnar fabric against the pre-epoch reference
-        #: rather than against itself.  Results are bit-identical either
-        #: way -- the walks are exact twins and the counter reductions
-        #: share numpy's pairwise sum.
+        #: Arm switch for :meth:`transfer_batch`: the scalar reference arm
+        #: (``l2_backend == "scalar"``) walks every batch with
+        #: :meth:`FabricFlow.advance_batch_small`, the per-element Python
+        #: walk, so the perf benches compare the columnar fabric against
+        #: the reference rather than against itself.  Results are
+        #: bit-identical either way: the walks are exact twins and both
+        #: book through :meth:`FabricFlow._book_hop`.
         self.vectorized = spec.gpu.cache.l2_backend != "scalar"
         #: Per-link lane width: uniform ``spec.nvlink.lanes`` unless the
         #: spec carries asymmetric widths (the dgx_a100 preset).
@@ -350,12 +311,11 @@ class Interconnect:
         self._transfers: Dict[Edge, int] = {edge: 0 for edge in self._busy}
         self._queued_cycles: Dict[Edge, float] = {edge: 0.0 for edge in self._busy}
         self._busy_cycles: Dict[Edge, float] = {edge: 0.0 for edge in self._busy}
-        #: Serialization multipliers for degraded links (chaos link flaps);
-        #: empty in normal operation, so the hot paths pay one truthiness
-        #: check per hop.
+        #: Serialization multipliers for degraded links (chaos link flaps),
+        #: folded into ``_serialization`` below.
         self._degraded: Dict[Edge, float] = {}
-        #: Metric-key strings, cached per edge (formatted on every
-        #: transfer before; see counters_snapshot for the format).
+        #: Metric-key strings, cached per edge (see counters_snapshot for
+        #: the format).
         self._edge_keys: Dict[Edge, str] = {
             edge: _edge_key(edge) for edge in topology.edges
         }
@@ -462,49 +422,15 @@ class Interconnect:
         """Charge one cache-line transfer from ``src_gpu`` to ``dst_gpu``.
 
         Returns ``(extra_cycles, hops)``: the queueing + multi-hop delay to
-        add on top of the base remote latency, and the hop count.  Each
-        transfer occupies the least-busy lane of every link on its route;
-        with metrics attached, each hop that queued counts one stall under
-        its own link, as every fabric walk does.
+        add on top of the base remote latency, and the hop count.  One
+        :meth:`FabricFlow.advance_one` on the cached flow, booked at once.
         """
         if src_gpu == dst_gpu:
             return 0.0, 0
-        route = self.topology.path(src_gpu, dst_gpu)
-        base_serialization = self.spec.nvlink.serialization_cycles
-        degraded = self._degraded
-        metrics = self.metrics
-        extra = 0.0
-        clock = now
-        for edge in route:
-            serialization = base_serialization
-            if degraded:
-                serialization *= degraded.get(edge, 1.0)
-            lanes = self._lane_state(edge, owner)
-            lane = least_busy_lane(lanes)
-            busy = lanes[lane]
-            wait = busy - clock if busy > clock else 0.0
-            lanes[lane] = clock + wait + serialization
-            self._transfers[edge] += 1
-            self._queued_cycles[edge] += wait
-            self._busy_cycles[edge] += serialization
-            if metrics is not None and wait > 0.0:
-                metrics.count_stall(self._edge_keys[edge], wait)
-            extra += wait
-            clock += wait + serialization
-        # The first hop's base latency is part of TimingSpec.remote_*;
-        # additional hops each add a fixed penalty.
-        queue_wait = extra
-        extra += (len(route) - 1) * self.spec.timing.per_extra_hop
-        if self.tracer is not None and queue_wait > 0.0:
-            self.tracer.emit(
-                "nvlink_stall",
-                "nvlink",
-                now,
-                dur=queue_wait,
-                gpu=src_gpu,
-                args={"src": src_gpu, "dst": dst_gpu, "hops": len(route)},
-            )
-        return extra, len(route)
+        flow = self.route_state(src_gpu, dst_gpu, owner)
+        extra = flow.advance_one(now)
+        flow.flush_counters(now)
+        return extra, flow.hops
 
     def transfer_batch(
         self,
@@ -517,136 +443,19 @@ class Interconnect:
         extra cycles (queueing plus multi-hop penalty).
 
         ``stamps`` must be non-decreasing (batch issue order).  Equivalent
-        to sequential :meth:`transfer` calls: each transfer occupies the
-        least-busy lane of every link on its route, and queueing on one
-        link delays the transfer's arrival at the next.
+        to sequential :meth:`transfer` calls, walked by the cached flow's
+        :meth:`FabricFlow.advance_batch`, or by
+        :meth:`FabricFlow.advance_batch_small` on the scalar arm
+        (:attr:`vectorized` off).
         """
-        n = stamps.size
-        extras = np.zeros(n, dtype=np.float64)
-        if src_gpu == dst_gpu or n == 0:
-            return extras
-        route = self.topology.path(src_gpu, dst_gpu)
-        base_serialization = float(self.spec.nvlink.serialization_cycles)
-        degraded = self._degraded
-        if not self.vectorized:
-            return self._transfer_batch_python(
-                src_gpu, dst_gpu, stamps, owner, route,
-                base_serialization, degraded,
-            )
-        clock = np.asarray(stamps, dtype=np.float64).copy()
-        for hop, edge in enumerate(route):
-            serialization = base_serialization
-            if degraded:
-                serialization *= degraded.get(edge, 1.0)
-            lanes = self._lane_state(edge, owner)
-            arrival = float(clock[0])
-            waits, new_busy = multi_server_waits(
-                np.asarray(lanes), clock, serialization
-            )
-            lanes[:] = [float(b) for b in new_busy]
-            self._transfers[edge] += int(n)
-            hop_wait = float(waits.sum())
-            if hop_wait:
-                self._queued_cycles[edge] = book_waits(
-                    self._queued_cycles[edge], waits
-                )
-            self._busy_cycles[edge] += serialization * n
-            extras += waits
-            clock += waits + serialization
-            if self.metrics is not None and hop_wait > 0.0:
-                self.metrics.count_stall(
-                    self._edge_keys[edge], hop_wait, events=int((waits > 0.0).sum())
-                )
-            if self.tracer is not None and hop_wait > 0.0:
-                # One event per *hop*, stamped when the batch reaches that
-                # link, so Perfetto lines stalls up with the probe epochs
-                # they delayed; ``dur`` is the hop's summed queueing.
-                a, b = sorted(edge)
-                self.tracer.emit(
-                    "nvlink_stall_batch",
-                    "nvlink",
-                    arrival,
-                    dur=hop_wait,
-                    gpu=src_gpu,
-                    args={
-                        "src": src_gpu,
-                        "dst": dst_gpu,
-                        "hop": hop,
-                        "link": [a, b],
-                        "hops": len(route),
-                        "transfers": int(n),
-                    },
-                )
-        extras += (len(route) - 1) * self.spec.timing.per_extra_hop
-        return extras
-
-    def _transfer_batch_python(
-        self,
-        src_gpu: int,
-        dst_gpu: int,
-        stamps: np.ndarray,
-        owner: Optional[int],
-        route,
-        base_serialization: float,
-        degraded: Dict[Edge, float],
-    ) -> np.ndarray:
-        """Reference fabric walk: the per-element Python lane scan.
-
-        The scalar arm's :meth:`transfer_batch` body -- every wait comes
-        from :func:`~repro.hw.occupancy.multi_server_waits_scalar`, one
-        element at a time.  Only the ``hop_wait`` stall reduction (metrics
-        and tracer) stays numpy: its pairwise sum differs from in-order
-        accumulation at :data:`SMALL_BATCH` elements and up, and the stall
-        metrics must match the vectorized walk bitwise at any batch width.
-        """
-        n = int(stamps.size)
-        clock = [float(stamp) for stamp in stamps]
-        extras = [0.0] * n
-        for hop, edge in enumerate(route):
-            serialization = base_serialization
-            if degraded:
-                serialization *= degraded.get(edge, 1.0)
-            lanes = self._lane_state(edge, owner)
-            arrival = clock[0]
-            waits, new_busy = multi_server_waits_scalar(
-                lanes, clock, serialization
-            )
-            lanes[:] = new_busy
-            self._transfers[edge] += n
-            hop_wait = float(np.asarray(waits).sum())
-            self._queued_cycles[edge] = book_waits(self._queued_cycles[edge], waits)
-            self._busy_cycles[edge] += serialization * n
-            stalled = 0
-            for index in range(n):
-                wait = waits[index]
-                if wait > 0.0:
-                    stalled += 1
-                extras[index] += wait
-                clock[index] += wait + serialization
-            if self.metrics is not None and hop_wait > 0.0:
-                self.metrics.count_stall(
-                    self._edge_keys[edge], hop_wait, events=stalled
-                )
-            if self.tracer is not None and hop_wait > 0.0:
-                a, b = sorted(edge)
-                self.tracer.emit(
-                    "nvlink_stall_batch",
-                    "nvlink",
-                    arrival,
-                    dur=hop_wait,
-                    gpu=src_gpu,
-                    args={
-                        "src": src_gpu,
-                        "dst": dst_gpu,
-                        "hop": hop,
-                        "link": [a, b],
-                        "hops": len(route),
-                        "transfers": n,
-                    },
-                )
-        result = np.asarray(extras, dtype=np.float64)
-        result += (len(route) - 1) * self.spec.timing.per_extra_hop
-        return result
+        if src_gpu == dst_gpu or stamps.size == 0:
+            return np.zeros(stamps.size, dtype=np.float64)
+        flow = self.route_state(src_gpu, dst_gpu, owner)
+        if self.vectorized:
+            return flow.advance_batch(stamps)
+        return np.asarray(
+            flow.advance_batch_small(stamps.tolist()), dtype=np.float64
+        )
 
     # ------------------------------------------------------------------
     # Introspection

@@ -1015,19 +1015,13 @@ class MultiGPUSystem:
         count = len(paddrs)
         # The pool serves the same values one ``next`` per access would.
         draws = self._jitter.take_list(count)
-        # Remote bursts walk the link route through the interconnect's
-        # cached flow (:meth:`Interconnect.route_state`): ``advance_one``
-        # replays :meth:`Interconnect.transfer`'s lane arithmetic, and
-        # its counters and stall metrics flush once per burst.  With a
-        # tracer attached the per-access calls are kept so stall events
-        # stay faithful; both walks book stall metrics per hop.
-        inter = self.interconnect
-        inline_link = remote and inter.tracer is None
-        if inline_link:
-            link_flow = inter.route_state(exec_gpu, home, owner)
+        # Remote bursts walk the link route on the interconnect's cached
+        # flow (:meth:`Interconnect.route_state`), one ``advance_one`` per
+        # access; the flow books the burst's counters, stall metrics and
+        # per-hop stall events once, at the end.
+        if remote:
+            link_flow = self.interconnect.route_state(exec_gpu, home, owner)
             advance_link = link_flow.advance_one
-        elif remote:
-            transfer = inter.transfer
         rows = {}
         busy_by_bank = {}
         latencies = []
@@ -1088,10 +1082,8 @@ class MultiGPUSystem:
                     + wait
                     + hbm_occupy(paddrs[at], stamp)
                 )
-            if inline_link:
+            if remote:
                 latency += advance_link(stamp)
-            elif remote:
-                latency += transfer(exec_gpu, home, stamp, owner)[0]
             if scale != 1.0:
                 latency *= scale
             if latency < 1.0:
@@ -1113,8 +1105,8 @@ class MultiGPUSystem:
             age_matrix[set_index] = ages
         for bank, busy in busy_by_bank.items():
             bank_busy[bank] = busy
-        if inline_link:
-            link_flow.flush_counters()
+        if remote:
+            link_flow.flush_counters(now)
         return latencies, hits, misses, evictions, total
 
     def _count_batch(

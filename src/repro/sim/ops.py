@@ -231,6 +231,13 @@ class AccessEpoch:
     round_reads: int = 1
 
 
+def _check_gap(op) -> None:
+    """Reject a negative issue gap: the fabric walks need the burst's
+    stamps non-decreasing, and a negative gap runs them backwards."""
+    if op.gap_cycles < 0:
+        raise ValueError(f"{type(op).__name__} needs gap_cycles >= 0")
+
+
 @dataclass(frozen=True)
 class LinkProbe:
     """Time a burst of peer-to-peer transfers over the NVLink route to
@@ -254,6 +261,9 @@ class LinkProbe:
     gap_cycles: float = 0.0
     wait: bool = True
 
+    def __post_init__(self) -> None:
+        _check_gap(self)
+
 
 @dataclass(frozen=True)
 class LinkBurst:
@@ -275,6 +285,11 @@ class LinkBurst:
     wait: bool = True
     record: bool = False
 
+    def __post_init__(self) -> None:
+        if self.num_transfers < 1:
+            raise ValueError("LinkBurst needs num_transfers >= 1")
+        _check_gap(self)
+
 
 @dataclass(frozen=True)
 class LinkFlood:
@@ -294,6 +309,11 @@ class LinkFlood:
     burst_cycles: float = 2500.0
     #: Cycles between consecutive issue slots.
     gap_cycles: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.occupancy_per_transfer <= 0:
+            raise ValueError("LinkFlood needs occupancy_per_transfer > 0")
+        _check_gap(self)
 
 
 @dataclass(frozen=True)

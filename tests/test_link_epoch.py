@@ -204,16 +204,18 @@ class TestFabricWalkArms:
             _arm_spec(True), seed=0
         ).system.interconnect.vectorized is True
 
-    def test_walks_are_bitwise_twins_across_batches(self):
-        rts = [_runtime(epochs, seed=5) for epochs in (False, True)]
-        rng = random.Random(5)
-        for width in (1, 2, 3, 7, 8, 9, 24, 64):
+    @staticmethod
+    def _drive_arms(rts, widths, pick_route, rng):
+        """Drive the same random batches through both arms; extras,
+        counters and the ``nvlink_stall_*`` metrics must match exactly."""
+        metrics = [attach_metrics(rt) for rt in rts]
+        for width in widths:
             now = rng.uniform(0.0, 50_000.0)
             gaps = [rng.uniform(0.0, 6.0) for _ in range(width - 1)]
             stamps = np.asarray(
                 [now] + [now + sum(gaps[: i + 1]) for i in range(width - 1)]
             )
-            src, dst = rng.sample(range(4), 2)
+            src, dst = pick_route(rng)
             extras = [
                 rt.system.interconnect.transfer_batch(src, dst, stamps.copy())
                 for rt in rts
@@ -221,6 +223,48 @@ class TestFabricWalkArms:
             assert extras[0].tolist() == extras[1].tolist()
         snapshots = [rt.system.interconnect.counters_snapshot() for rt in rts]
         assert snapshots[0] == snapshots[1]
+        stalls = [
+            {
+                key: value
+                for key, value in arm.registry.snapshot().items()
+                if key.startswith("nvlink_stall_")
+            }
+            for arm in metrics
+        ]
+        assert any(value > 0 for value in stalls[0].values())
+        assert stalls[0] == stalls[1]
+        return stalls[0]
+
+    def test_walks_are_bitwise_twins_across_batches(self):
+        rts = [_runtime(epochs, seed=5) for epochs in (False, True)]
+        rng = random.Random(5)
+        self._drive_arms(
+            rts, (1, 2, 3, 7, 8, 9, 24, 64), lambda r: r.sample(range(4), 2), rng
+        )
+        # Two hops over DGX-2's switch, the second one slowed so both
+        # queue: each hop's stall sum must come out of the scalar and the
+        # vectorized walk bit for bit at widths straddling SMALL_BATCH.
+        spec = DGXSpec.small(num_gpus=8).with_topology("dgx2")
+        widths = (7, 8, 9, 24, 64)
+        rts = [
+            Runtime(spec.with_l2_backend(backend), seed=5)
+            for backend in ("scalar", "vectorized")
+        ]
+        for rt in rts:
+            route = rt.system.topology.path(1, 0)
+            assert len(route) == 2
+            rt.system.interconnect.degrade_link(route[1], 3.0)
+        stalls = self._drive_arms(rts, widths, lambda r: (1, 0), rng)
+        assert stalls['nvlink_stall_events_total{link="link0-8"}'] > 0
+        # The same on a rate-limited partitioned fabric, where each walk
+        # shapes its batch first.
+        rts = [
+            Runtime(spec.with_l2_backend(backend), seed=5)
+            for backend in ("scalar", "vectorized")
+        ]
+        for rt in rts:
+            enable_lane_partitioning(rt.system, num_slices=1, rate_limit_cycles=3.0)
+        self._drive_arms(rts, widths, lambda r: (1, 0), rng)
 
     def test_walks_agree_under_degradation(self):
         rts = [_runtime(epochs, seed=7) for epochs in (False, True)]

@@ -15,8 +15,8 @@ from repro.defense.partitioning import (
 )
 from repro.errors import ConfigurationError
 from repro.runtime.api import Runtime
-from repro.sim.ops import LinkProbe
-from repro.telemetry import attach_tracer
+from repro.sim.ops import LinkBurst, LinkFlood, LinkProbe
+from repro.telemetry import attach_metrics, attach_tracer
 
 
 def small_runtime(seed=0, num_gpus=4):
@@ -205,6 +205,60 @@ class TestLaneDefense:
             fabric.transfer(0, 1, 0.0, owner=1)
         assert fabric.transfer(0, 1, 0.0, owner=2)[0] > 0.0
         assert fabric.transfer(0, 1, 0.0, owner=3)[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "metrics_first", [False, True], ids=["partition-first", "metrics-first"]
+    )
+    def test_partitioning_keeps_the_metrics_hook(self, metrics_first):
+        """Swapping in the partitioned fabric carries an attached metrics
+        registry over, as it does the tracer: the same self-queueing
+        burst reports the same stalls whichever was wired first."""
+        runtime = small_runtime()
+        if metrics_first:
+            metrics = attach_metrics(runtime)
+        fabric = enable_lane_partitioning(runtime.system, num_slices=1)
+        if not metrics_first:
+            metrics = attach_metrics(runtime)
+        # 24 transfers at t=0 on two lanes: all but the first two queue.
+        fabric.transfer_batch(0, 1, np.zeros(24))
+        snap = metrics.registry.snapshot()
+        assert snap['nvlink_stall_events_total{link="link0-1"}'] == 22
+        assert snap['nvlink_stall_cycles_total{link="link0-1"}'] == 1320.0
+
+
+class TestLinkOpValidation:
+    """Link ops the fabric walks cannot serve are rejected when built, so
+    the epoch cursor and per-op dispatch never see them."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: LinkBurst(1, num_transfers=0),
+            lambda: LinkBurst(1, num_transfers=-1),
+            lambda: LinkProbe(1, gap_cycles=-5.0),
+            lambda: LinkBurst(1, gap_cycles=-5.0),
+            lambda: LinkFlood(1, occupancy_per_transfer=10.0, gap_cycles=-1.0),
+            lambda: LinkFlood(1, occupancy_per_transfer=0.0),
+            lambda: LinkFlood(1, occupancy_per_transfer=-10.0),
+        ],
+        ids=[
+            "burst-empty",
+            "burst-negative",
+            "probe-negative-gap",
+            "burst-negative-gap",
+            "flood-negative-gap",
+            "flood-zero-occupancy",
+            "flood-negative-occupancy",
+        ],
+    )
+    def test_rejected_at_construction(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_edge_values_accepted(self):
+        LinkBurst(1, num_transfers=1, gap_cycles=0.0)
+        LinkProbe(1, num_transfers=0, gap_cycles=0.0)
+        LinkFlood(1, occupancy_per_transfer=0.5, gap_cycles=0.0)
 
 
 class TestLinkTelemetry:

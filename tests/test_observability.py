@@ -332,19 +332,20 @@ class TestAttackMetricsWiring:
                 assert arm[cycles % link] == pytest.approx(batch[cycles % link])
 
     def test_tracer_leaves_two_hop_stall_metrics_unchanged(self):
-        """A tracer sends the fused core's link walk through the per-line
-        ``Interconnect.transfer`` instead of ``FabricFlow.advance_one``;
-        the per-hop stall metrics must come out the same either way."""
+        """A tracer leaves the fused core on its ``FabricFlow.advance_one``
+        walk: latencies, GPU and link counters and the per-hop stall
+        metrics come out the same traced or not, and the trace carries
+        one ``nvlink_stall_batch`` event per hop whose durations sum to
+        that link's stall cycles (no per-transfer ``nvlink_stall``)."""
         spec = DGXSpec.small(num_gpus=8).with_topology("dgx2")
         lines = 24
-        snaps = {}
+        runs = {}
         for traced in (False, True):
             rt = Runtime(spec, seed=7)
             route = rt.system.topology.path(1, 0)
             rt.system.interconnect.degrade_link(route[1], 3.0)
             metrics = attach_metrics(rt)
-            if traced:
-                attach_tracer(rt)
+            tracer = attach_tracer(rt) if traced else None
             process = rt.create_process("prober")
             rt.enable_peer_access(process, 1, 0)
             wpl = rt.system.spec.gpu.cache.line_size // 8
@@ -352,18 +353,41 @@ class TestAttackMetricsWiring:
             indices = [line * wpl for line in range(lines)]
 
             def kernel():
-                yield ProbeSet(buf, indices, parallel=True)
+                result = yield ProbeSet(buf, indices, parallel=True)
+                return result.latencies
 
-            rt.run_kernel(kernel(), 1, process)
-            snaps[traced] = {
+            latencies = rt.run_kernel(kernel(), 1, process)
+            stalls = {
                 key: value
                 for key, value in metrics.registry.snapshot().items()
                 if key.startswith("nvlink_stall_")
             }
-        untraced = snaps[False]
+            runs[traced] = (
+                latencies,
+                [gpu.counters.snapshot() for gpu in rt.system.gpus],
+                rt.system.interconnect.counters_snapshot(),
+                stalls,
+            )
+        untraced = runs[False][3]
         for link in ("link1-8", "link0-8"):
             assert untraced['nvlink_stall_events_total{link="%s"}' % link] == 22
-        assert snaps[True] == untraced
+        assert runs[True] == runs[False]
+
+        events = tracer.events.to_list()
+        assert not [event for event in events if event.name == "nvlink_stall"]
+        durations = {}
+        for event in events:
+            if event.name == "nvlink_stall_batch":
+                a, b = event.args["link"]
+                key = 'nvlink_stall_cycles_total{link="link%d-%d"}' % (a, b)
+                durations[key] = durations.get(key, 0.0) + event.dur
+        cycles = {
+            key: value
+            for key, value in untraced.items()
+            if key.startswith("nvlink_stall_cycles_total")
+        }
+        assert len(cycles) == 2
+        assert durations == cycles
 
 
 # ----------------------------------------------------------------------
