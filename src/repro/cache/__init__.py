@@ -1,6 +1,6 @@
 """Cross-experiment artifact cache (see :mod:`repro.cache.store`)."""
 
-from .checkpoint import SetupMemo, adopt_runtime
+from .checkpoint import SetupMemo, SetupTemplate, adopt_runtime
 from .store import (
     CACHE_ENV_VAR,
     CACHE_SCHEMA_VERSION,
@@ -17,6 +17,7 @@ __all__ = [
     "CACHE_ENV_VAR",
     "CACHE_SCHEMA_VERSION",
     "SetupMemo",
+    "SetupTemplate",
     "activated",
     "adopt_runtime",
     "get_active_cache",

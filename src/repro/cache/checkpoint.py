@@ -1,22 +1,30 @@
-"""Whole-runtime setup checkpoints on top of :class:`ArtifactCache`.
+"""Whole-runtime setup checkpoints: on disk, and forked in process.
 
 The attack objects (:class:`~repro.core.sidechannel.prober.MemorygramProber`,
-:class:`~repro.core.covert.channel.CovertChannel`) use this to memoize
-their ``setup()`` prologue: latency calibration and eviction-set
-discovery.  A checkpoint is the pickled tuple ``(runtime, *derived)``;
-on a hit the stored runtime's guts are adopted into the caller's runtime
-object in place, so every reference the caller already holds (engine,
-system, tracer hook point) stays valid while the simulator lands in the
-byte-identical state a cold setup would have produced.
+:class:`~repro.core.covert.channel.CovertChannel`) use :class:`SetupMemo`
+to memoize their ``setup()`` prologue -- latency calibration and
+eviction-set discovery -- across runs.  A checkpoint is the pickled tuple
+``(runtime, *derived)``; on a hit the stored runtime's guts are adopted
+into the caller's runtime object in place, so every reference the caller
+already holds (engine, system, tracer hook point) stays valid while the
+simulator lands in the byte-identical state a cold setup would have
+produced.
+
+Within one experiment run, :class:`SetupTemplate` shares a prologue
+between boxes that would all set up identically: it keeps one deep copy
+of the prepared graph and hands out further deep copies (*forks*), each
+in that same byte-identical state.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Optional, Tuple
 
+from ..errors import SimulationError
 from .store import ArtifactCache, get_active_cache, runtime_is_pristine
 
-__all__ = ["SetupMemo", "adopt_runtime"]
+__all__ = ["SetupMemo", "SetupTemplate", "adopt_runtime"]
 
 
 def adopt_runtime(runtime, snapshot) -> None:
@@ -73,3 +81,30 @@ class SetupMemo:
             seed=self.seed,
             params=params,
         )
+
+
+class SetupTemplate:
+    """A prepared ``(runtime, *derived)`` graph that forks on demand.
+
+    Construction deep-copies the graph as it stands, so the caller may go
+    on using the original; each :meth:`fork` is a further deep copy of
+    that snapshot -- processes, buffers, eviction sets, the L2 and link
+    state, the clock and the jitter stream position all included -- and
+    lands in the state a cold set-up of the same box reaches.  A fork
+    copies an attached hook along with everything else, so only a runtime
+    that was pristine (:func:`~repro.cache.store.runtime_is_pristine`)
+    before its set-up may be captured.  The engine must be quiescent: a
+    queued kernel is a live generator, which cannot be copied.
+    """
+
+    def __init__(self, runtime, *derived: Any) -> None:
+        if runtime.engine.pending_streams:
+            raise SimulationError(
+                f"cannot capture a set-up with {runtime.engine.pending_streams} "
+                "streams still queued"
+            )
+        self._graph = copy.deepcopy((runtime, *derived))
+
+    def fork(self) -> Tuple[Any, ...]:
+        """An independent ``(runtime, *derived)`` copy of the snapshot."""
+        return copy.deepcopy(self._graph)

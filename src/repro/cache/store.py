@@ -51,7 +51,7 @@ __all__ = [
 #: Bump when the checkpoint contents change shape (new pickle layout, new
 #: simulator state that must be part of a checkpoint): old entries then
 #: miss on key instead of resurrecting stale state.
-CACHE_SCHEMA_VERSION = 4
+CACHE_SCHEMA_VERSION = 5
 
 CACHE_ENV_VAR = "REPRO_CACHE_DIR"
 
@@ -80,9 +80,11 @@ def runtime_is_pristine(runtime) -> bool:
     A setup checkpoint replaces the *entire* simulator state, so it may
     only be captured or restored while nothing has happened yet: no
     simulated time, no dispatched events, no processes, and no attached
-    tracer (a restore would truncate the trace).  Callers that share one
-    runtime across several attack objects (the scanner) fail this gate
-    and simply run setup uncached.
+    tracer, metrics or profiler (a restore would truncate the trace and
+    hand the runtime the checkpoint's own copy of the hook, which its
+    owner never reads).  Callers that share one runtime across several
+    attack objects (the scanner) fail this gate and simply run setup
+    uncached.
 
     Two subtler disqualifiers, both observed in the defense ablations:
 
@@ -107,6 +109,8 @@ def runtime_is_pristine(runtime) -> bool:
         and runtime.engine.stats.events == 0
         and getattr(system, "_next_pid", 1) == 0
         and system.tracer is None
+        and getattr(runtime, "metrics", None) is None
+        and getattr(runtime, "profiler", None) is None
         and getattr(runtime.engine, "chaos", None) is None
     ):
         return False

@@ -15,8 +15,9 @@ the group correspondence, after which same-offset lines pair up for free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
+from ...cache import SetupMemo, SetupTemplate, runtime_is_pristine
 from ...errors import AlignmentError, ChannelError
 from ...runtime.api import Runtime
 from ...sim.process import Process
@@ -34,7 +35,7 @@ from .encoding import (
 from .spy import SpyTrace, decode_trace, spy_probe_kernel
 from .trojan import trojan_send_kernel
 
-__all__ = ["CovertChannel", "TransmissionResult", "ChannelReport"]
+__all__ = ["CovertChannel", "PreparedChannels", "TransmissionResult", "ChannelReport"]
 
 #: Trojan transmission begins this many slots after the spies start probing,
 #: giving every spy a quiet lead-in to calibrate "no contention".
@@ -116,6 +117,8 @@ class CovertChannel:
         self.pairs: List[Tuple[EvictionSet, EvictionSet]] = []
         self._trojan_coloring: Optional[PageColoring] = None
         self._spy_coloring: Optional[PageColoring] = None
+        #: ``(trojan group, spy group)`` color-group matches (Algorithm 2).
+        self._group_match: List[Tuple[int, int]] = []
 
     # ------------------------------------------------------------------
     # Setup: steps 1-3 of Fig 8
@@ -129,65 +132,69 @@ class CovertChannel:
     ) -> None:
         """Allocate, discover eviction sets on both sides, and align them.
 
-        Like :meth:`MemorygramProber.setup`, the whole prologue (both
-        discoveries plus Algorithm-2 alignment) is checkpointed through
-        the artifact cache when one is active and the runtime is pristine;
-        the calibration stage has its own entry so ``num_sets`` sweeps
-        (Fig 9) share it.
+        The prologue -- calibration, both Algorithm-1 discoveries and the
+        Algorithm-2 group matching -- does not depend on ``num_sets``;
+        only the pair placement that follows it does (:meth:`pairs_for`).
+        Like :meth:`MemorygramProber.setup`, the prologue is checkpointed
+        through the artifact cache when one is active and the runtime is
+        pristine, as one ``"discovery"`` entry that every ``num_sets``
+        shares.  :class:`PreparedChannels` forks a prepared channel
+        instead of repeating the prologue on identical boxes; a fork
+        places its own ``num_sets`` with ``pairs_for``.
         """
-        from ...cache import SetupMemo
-
-        runtime = self.runtime
-        spec = runtime.system.spec.gpu
-        memo = SetupMemo.for_runtime(runtime, cache)
-        discovery_key = dict(
+        memo = SetupMemo.for_runtime(self.runtime, cache)
+        key = dict(
             role="covert",
             trojan_gpu=self.trojan_gpu,
             spy_gpu=self.spy_gpu,
-            num_sets=num_sets,
             thresholds=repr(thresholds),
             pages=buffer_pages_per_color,
         )
-        if memo is not None:
-            restored = memo.load("discovery", **discovery_key)
-            if restored is not None:
-                (
-                    self.trojan,
-                    self.spy,
-                    self.thresholds,
-                    self.pairs,
-                    self._trojan_coloring,
-                    self._spy_coloring,
-                ) = restored
-                return
-        calibration_key = dict(
-            role="covert",
-            trojan_gpu=self.trojan_gpu,
-            spy_gpu=self.spy_gpu,
-        )
-        calibrated = (
-            memo.load("calibration", **calibration_key)
-            if memo is not None and thresholds is None
-            else None
-        )
-        if calibrated is not None:
-            self.trojan, self.spy, thresholds = calibrated
+        restored = memo.load("discovery", **key) if memo is not None else None
+        if restored is not None:
+            (
+                self.trojan,
+                self.spy,
+                self.thresholds,
+                self._group_match,
+                self._trojan_coloring,
+                self._spy_coloring,
+            ) = restored
         else:
-            self.trojan = runtime.create_process("trojan")
-            self.spy = runtime.create_process("spy")
-            runtime.enable_peer_access(self.spy, self.spy_gpu, self.trojan_gpu)
-            if thresholds is None:
-                calibration = runtime.create_process("calibrate")
-                report = measure_access_classes(
-                    runtime, calibration, self.spy_gpu, self.trojan_gpu
+            self._prologue(thresholds, buffer_pages_per_color)
+            if memo is not None:
+                memo.store(
+                    "discovery",
+                    (
+                        self.trojan,
+                        self.spy,
+                        self.thresholds,
+                        self._group_match,
+                        self._trojan_coloring,
+                        self._spy_coloring,
+                    ),
+                    **key,
                 )
-                thresholds = report.thresholds()
-                if memo is not None:
-                    memo.store(
-                        "calibration",
-                        (self.trojan, self.spy, thresholds),
-                        **calibration_key,
-                    )
+        self.pairs = self.pairs_for(num_sets)
+
+    def _prologue(
+        self,
+        thresholds: Optional[TimingThresholds],
+        buffer_pages_per_color: Optional[int],
+    ) -> None:
+        """Steps 1-3 short of pair placement: processes, calibration,
+        buffers, both discoveries and the group matching."""
+        runtime = self.runtime
+        spec = runtime.system.spec.gpu
+        self.trojan = runtime.create_process("trojan")
+        self.spy = runtime.create_process("spy")
+        runtime.enable_peer_access(self.spy, self.spy_gpu, self.trojan_gpu)
+        if thresholds is None:
+            calibration = runtime.create_process("calibrate")
+            report = measure_access_classes(
+                runtime, calibration, self.spy_gpu, self.trojan_gpu
+            )
+            thresholds = report.thresholds()
         self.thresholds = thresholds
 
         colors = max(1, spec.cache.set_stride // spec.page_size)
@@ -218,20 +225,7 @@ class CovertChannel:
             spec.cache.associativity,
             thresholds.remote,
         )
-        self.pairs = self._align(num_sets)
-        if memo is not None:
-            memo.store(
-                "discovery",
-                (
-                    self.trojan,
-                    self.spy,
-                    self.thresholds,
-                    self.pairs,
-                    self._trojan_coloring,
-                    self._spy_coloring,
-                ),
-                **discovery_key,
-            )
+        self._group_match = self._match_groups()
 
     def _sets_for(
         self, coloring: PageColoring, group: int, offsets: Sequence[int], base_id: int
@@ -253,12 +247,17 @@ class CovertChannel:
             )
         return sets
 
-    def _align(self, num_sets: int) -> List[Tuple[EvictionSet, EvictionSet]]:
-        """Group-level Algorithm 2 alignment, then offset arithmetic."""
+    def _match_groups(self) -> List[Tuple[int, int]]:
+        """Group-level Algorithm 2: ``(trojan group, spy group)`` matches.
+
+        One :func:`check_pair` run per candidate pair of color groups,
+        each on the groups' offset-0 sets; every spy group matches at
+        most one trojan group.
+        """
         assert self.thresholds is not None
         trojan_coloring, spy_coloring = self._trojan_coloring, self._spy_coloring
         assert trojan_coloring is not None and spy_coloring is not None
-        group_match: Dict[int, int] = {}
+        matches: List[Tuple[int, int]] = []
         claimed: set = set()
         for t_group in range(len(trojan_coloring.groups)):
             trojan_rep = self._sets_for(trojan_coloring, t_group, [0], 1000 * t_group)[0]
@@ -277,16 +276,25 @@ class CovertChannel:
                     self.thresholds.remote,
                 )
                 if measurement.mapped:
-                    group_match[t_group] = s_group
+                    matches.append((t_group, s_group))
                     claimed.add(s_group)
                     break
+        return matches
 
-        if not group_match:
+    def pairs_for(self, num_sets: int) -> List[Tuple[EvictionSet, EvictionSet]]:
+        """Place ``num_sets`` aligned pairs on the matched color groups.
+
+        Pure offset arithmetic over the prologue's group matches: it runs
+        nothing on the box, so any ``num_sets`` can be placed on one
+        prepared channel.
+        """
+        trojan_coloring, spy_coloring = self._trojan_coloring, self._spy_coloring
+        if trojan_coloring is None or spy_coloring is None:
+            raise ChannelError("channel not set up: call setup() first")
+        matches = self._group_match
+        if not matches:
             raise AlignmentError("no trojan color group matches any spy group")
-
-        pairs: List[Tuple[EvictionSet, EvictionSet]] = []
         lines_per_page = trojan_coloring.lines_per_page
-        matches = list(group_match.items())
         if num_sets > lines_per_page * len(matches):
             raise AlignmentError(
                 f"cannot place {num_sets} pairs: only "
@@ -298,6 +306,7 @@ class CovertChannel:
         # bank port and drown the channel in queueing noise.  Per-group
         # offset counters start at staggered phases to keep early pairs on
         # distinct banks.
+        pairs: List[Tuple[EvictionSet, EvictionSet]] = []
         next_offset = list(range(len(matches)))
         for set_id in range(num_sets):
             group_index = set_id % len(matches)
@@ -519,3 +528,37 @@ class CovertChannel:
             f"(expected {len(bits)} payload bits, last decode "
             f"yielded {len(payload)})"
         )
+
+
+class PreparedChannels:
+    """Set-up covert channels on identical fresh boxes, sharing a prologue.
+
+    ``make_runtime`` builds a fresh box.  Every :meth:`channel` call
+    returns a :class:`CovertChannel` on a box of its own, with
+    ``num_sets`` pairs placed.  The first call sets up cold; when its box
+    was pristine before set-up (:func:`~repro.cache.runtime_is_pristine`),
+    the prepared ``(runtime, channel)`` graph becomes a
+    :class:`~repro.cache.SetupTemplate` and every later call returns a
+    fork of it: the state a cold set-up of a fresh box reaches, without
+    running the prologue again.  A box that is not pristine (a tracer,
+    metrics or a defense attached) is never forked, so its hooks stay
+    with their owner; every call then sets up a fresh box cold.  Keep an
+    instance local to one experiment run, so its template dies with it.
+    """
+
+    def __init__(self, make_runtime: Callable[[], Runtime]) -> None:
+        self._make_runtime = make_runtime
+        self._template: Optional[SetupTemplate] = None
+
+    def channel(self, num_sets: int) -> CovertChannel:
+        if self._template is not None:
+            _runtime, channel = self._template.fork()
+            channel.pairs = channel.pairs_for(num_sets)
+            return channel
+        runtime = self._make_runtime()
+        forkable = runtime_is_pristine(runtime)
+        channel = CovertChannel(runtime)
+        channel.setup(num_sets)
+        if forkable:
+            self._template = SetupTemplate(runtime, channel)
+        return channel

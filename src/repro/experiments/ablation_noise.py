@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.covert.channel import CovertChannel
+from ..core.covert.channel import PreparedChannels
 from ..errors import LaunchError
 from ..noise.background import BackgroundNoise
 from ..noise.blocking import OccupancyBlocker
@@ -22,10 +22,8 @@ from .common import ExperimentResult, default_runtime
 __all__ = ["run"]
 
 
-def _one_transmission(seed, num_sets, bits, slot_cycles, scenario, small=False):
-    runtime = default_runtime(seed, small=small)
-    channel = CovertChannel(runtime)
-    channel.setup(num_sets)
+def _one_transmission(channel, seed, num_sets, bits, slot_cycles, scenario):
+    runtime = channel.runtime
     noise_blocked = None
 
     # Upper estimate of the transmission's duration, used to wind down the
@@ -75,11 +73,18 @@ def run(
             "ensure the exclusive execution of spy (or trojan), reducing noise"
         ),
     )
-    quiet, _ = _one_transmission(seed, num_sets, bits, slot_cycles, "quiet", small)
+    # The three boxes are prepared identically: one prologue, three forks.
+    boxes = PreparedChannels(lambda: default_runtime(seed, small=small))
+
+    def transmission(scenario):
+        channel = boxes.channel(num_sets)
+        return _one_transmission(channel, seed, num_sets, bits, slot_cycles, scenario)
+
+    quiet, _ = transmission("quiet")
     result.add_row("quiet box", quiet.error_rate * 100.0, "-")
-    noisy, _ = _one_transmission(seed, num_sets, bits, slot_cycles, "noise", small)
+    noisy, _ = transmission("noise")
     result.add_row("background noise", noisy.error_rate * 100.0, "yes")
-    blocked, was_blocked = _one_transmission(seed, num_sets, bits, slot_cycles, "blocked", small)
+    blocked, was_blocked = transmission("blocked")
     result.add_row(
         "noise + occupancy blocking",
         blocked.error_rate * 100.0,

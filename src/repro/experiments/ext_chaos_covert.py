@@ -13,7 +13,10 @@ and the price paid in retransmissions and repairs.
 The injector is installed *armed after setup* so every plan perturbs the
 steady-state transmission phase, not the (checkpointable) discovery
 prologue; each preset row records the fault-plan hash so any row can be
-replayed bit-for-bit.
+replayed bit-for-bit.  Because every box is prepared identically, the
+prologue runs once per sweep: each transmission gets a fork of that one
+prepared channel (:class:`~repro.core.covert.channel.PreparedChannels`),
+in the state a cold set-up of a fresh box reaches.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from ..chaos import install_chaos
 from ..config import CHAOS_PRESETS, chaos_preset
-from ..core.covert.channel import CovertChannel
+from ..core.covert.channel import PreparedChannels
 from ..core.covert.resilient import ResilientCovertChannel
 from ..errors import SyncLostError
 from ..telemetry.health import (
@@ -41,13 +44,6 @@ __all__ = ["run"]
 #: spans a few hundred thousand cycles, and faults scheduled past the end
 #: of the transmission test nothing.
 _HORIZON_CYCLES = 350_000.0
-
-
-def _prepared_channel(seed: int, num_sets: int, small: bool):
-    runtime = default_runtime(seed, small=small)
-    channel = CovertChannel(runtime)
-    channel.setup(num_sets)
-    return runtime, channel
 
 
 def run(
@@ -82,16 +78,19 @@ def run(
     runtime = None
     plan_hashes = {}
     health_reports = {}
+    boxes = PreparedChannels(lambda: default_runtime(seed, small=small))
     for preset in presets:
         spec = chaos_preset(preset).replace_horizon(_HORIZON_CYCLES)
 
-        runtime, channel = _prepared_channel(seed, num_sets, small)
+        channel = boxes.channel(num_sets)
+        runtime = channel.runtime
         injector = install_chaos(runtime, spec, seed=seed + 1)
         plan_hashes[preset] = injector.plan.plan_hash()
         plain = channel.transmit(bits, slot_cycles=slot_cycles, strict=False)
         faults_applied = len(injector.applied)
 
-        runtime, channel = _prepared_channel(seed, num_sets, small)
+        channel = boxes.channel(num_sets)
+        runtime = channel.runtime
         resilient_injector = install_chaos(runtime, spec, seed=seed + 1)
         monitor = ChannelHealth()
         resilient = ResilientCovertChannel(channel, monitor=monitor)

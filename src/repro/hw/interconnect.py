@@ -134,8 +134,10 @@ class FabricFlow:
         """Book ``count`` transfers across ``hop``, ``stalled`` of which
         queued for ``waits``.
 
-        The one per-hop booking of every walk: the link's transfer and
-        busy counters, its queued cycles (:func:`book_waits`) and, when a
+        The one per-hop booking of every walk: the link's transfer
+        counter (its busy cycles derive from it, see
+        :meth:`Interconnect.busy_cycles`), its queued cycles
+        (:func:`book_waits`) and, when a
         transfer queued, one stall report to the metrics registry and one
         ``nvlink_stall_batch`` trace event stamped ``stamp`` whose
         ``dur`` is the hop's summed queueing.  ``waits`` lists the hop's
@@ -145,7 +147,6 @@ class FabricFlow:
         inter = self.inter
         edge = self.edges[hop]
         inter._transfers[edge] += count
-        inter._busy_cycles[edge] += self.serialization[hop] * count
         if not stalled:
             return
         inter._queued_cycles[edge] = book_waits(inter._queued_cycles[edge], waits)
@@ -310,7 +311,13 @@ class Interconnect:
         # Per-link lifetime counters (feed telemetry.CounterSampler).
         self._transfers: Dict[Edge, int] = {edge: 0 for edge in self._busy}
         self._queued_cycles: Dict[Edge, float] = {edge: 0.0 for edge in self._busy}
-        self._busy_cycles: Dict[Edge, float] = {edge: 0.0 for edge in self._busy}
+        #: Busy cycles are derived, never booked per walk: a link's
+        #: transfers since its serialization last changed, times that
+        #: serialization, plus the cycles folded in at the change
+        #: (``_busy_base``, covering ``_base_transfers`` transfers).  Every
+        #: walk therefore reports the same value for the same transfers.
+        self._busy_base: Dict[Edge, float] = {edge: 0.0 for edge in self._busy}
+        self._base_transfers: Dict[Edge, int] = {edge: 0 for edge in self._busy}
         #: Serialization multipliers for degraded links (chaos link flaps),
         #: folded into ``_serialization`` below.
         self._degraded: Dict[Edge, float] = {}
@@ -356,12 +363,23 @@ class Interconnect:
         self._refresh_serialization()
 
     def _refresh_serialization(self) -> None:
-        """Re-fold degradation factors into the serialization array."""
+        """Re-fold degradation factors into the serialization array.
+
+        A link whose serialization changes first folds its busy cycles
+        so far into its base, at the old serialization.
+        """
         self._degrade_version += 1
+        edge_index = self.topology.edge_index
         factors = np.ones(len(self.topology.edges), dtype=np.float64)
         for edge, factor in self._degraded.items():
-            factors[self.topology.edge_index[edge]] = factor
-        self._serialization = self._base_serialization * factors
+            factors[edge_index[edge]] = factor
+        serialization = self._base_serialization * factors
+        for edge in self._busy:
+            index = edge_index[edge]
+            if serialization[index] != self._serialization[index]:
+                self._busy_base[edge] = self._link_busy(edge)
+                self._base_transfers[edge] = self._transfers[edge]
+        self._serialization = serialization
 
     def link_degradation(self, edge) -> float:
         """Current serialization multiplier of ``edge`` (1.0 = healthy)."""
@@ -464,9 +482,14 @@ class Interconnect:
         """Latest busy-until stamp per link (raw lane state)."""
         return {edge: max(lanes) for edge, lanes in self._busy.items()}
 
+    def _link_busy(self, edge: Edge) -> float:
+        serialization = float(self._serialization[self.topology.edge_index[edge]])
+        transfers = self._transfers[edge] - self._base_transfers[edge]
+        return self._busy_base[edge] + transfers * serialization
+
     def busy_cycles(self) -> Dict[Edge, float]:
         """Cumulative lane-occupancy cycles charged per link."""
-        return dict(self._busy_cycles)
+        return {edge: self._link_busy(edge) for edge in self._busy}
 
     def utilization(
         self,
@@ -492,7 +515,7 @@ class Interconnect:
                 ),
                 1.0,
             )
-            for edge, busy in self._busy_cycles.items()
+            for edge, busy in self.busy_cycles().items()
         }
 
     def counters_snapshot(self) -> Dict[str, int]:
@@ -506,7 +529,7 @@ class Interconnect:
             key = self._edge_keys[edge]
             snapshot[f"{key}:transfers"] = self._transfers[edge]
             snapshot[f"{key}:queued_cycles"] = int(self._queued_cycles[edge])
-            snapshot[f"{key}:busy_cycles"] = int(self._busy_cycles[edge])
+            snapshot[f"{key}:busy_cycles"] = int(self._link_busy(edge))
         return snapshot
 
     def reset(self) -> None:
@@ -516,7 +539,8 @@ class Interconnect:
         for edge in self._busy:
             self._transfers[edge] = 0
             self._queued_cycles[edge] = 0.0
-            self._busy_cycles[edge] = 0.0
+            self._busy_base[edge] = 0.0
+            self._base_transfers[edge] = 0
         # Drop cached flows: their live lane references survive the
         # in-place reset, but any accumulated burst counters must not.
         self._lanes_version += 1

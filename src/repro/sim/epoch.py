@@ -490,7 +490,6 @@ class EpochCursor:
                 return None
             transfers = inter._transfers
             queued = inter._queued_cycles
-            busy_cycles = inter._busy_cycles
             if two and flow.hops == 1:
                 lane_state = flow.lanes[0]
                 if len(lane_state) == 2:
@@ -532,7 +531,6 @@ class EpochCursor:
                     transfers[edge] += 2
                     # In transfer order, as book_waits would.
                     queued[edge] = queued[edge] + wait0 + wait1
-                    busy_cycles[edge] += serialization * 2
                     pad = flow.hop_pad
                     if pad:
                         wait0 += pad
@@ -574,7 +572,6 @@ class EpochCursor:
                 lane_state[:] = new_busy
                 transfers[edge] += count
                 queued[edge] = book_waits(queued[edge], extras)
-                busy_cycles[edge] += serialization * count
             else:
                 extras = [0.0] * count
                 edges = flow.edges
@@ -593,7 +590,6 @@ class EpochCursor:
                         extras[index] += wait_cycles
                         stamps[index] += wait_cycles + serialization
                     queued[edge] = book_waits(queued[edge], waits)
-                    busy_cycles[edge] += serialization * count
             pad = flow.hop_pad
             if pad:
                 for index in indices:

@@ -153,6 +153,36 @@ class DeviceBuffer:
     def store(self, index: int, value: int) -> None:
         self.data[index] = value
 
+    # ------------------------------------------------------------------
+    # Pickle / deepcopy state: sparse contents
+    # ------------------------------------------------------------------
+    def __getstate__(self) -> dict:
+        """State with ``data`` as ``(size, written indices, values)``.
+
+        Attack buffers are mostly never-written zeros (a pointer chase
+        stores one word per line it links), so a checkpoint or a
+        :class:`~repro.cache.checkpoint.SetupTemplate` fork carries only
+        the written words.  ``np.zeros`` on load leaves the rest of the
+        array unmaterialized, as a fresh ``malloc`` does.
+        """
+        state = {
+            name: getattr(self, name)
+            for name in self.__slots__
+            if name not in ("data", "_frame_array")
+        }
+        written = np.flatnonzero(self.data)
+        state["data"] = (self.data.size, written, self.data[written])
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        size, written, values = state.pop("data")
+        data = np.zeros(size, dtype=np.int64)
+        data[written] = values
+        for name, value in state.items():
+            setattr(self, name, value)
+        self.data = data
+        self._frame_array = np.asarray(self.frames, dtype=np.int64)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DeviceBuffer({self.name!r}, gpu={self.device_id}, "

@@ -13,7 +13,7 @@ from typing import Any, Generator, List, Sequence
 
 from ..runtime.api import Runtime
 from ..sim.process import Process
-from .base import TraceWorkload, Workload
+from .base import TraceWorkload
 
 __all__ = ["CompositeWorkload"]
 

@@ -173,6 +173,18 @@ def test_traced_runtime_is_not_pristine():
     assert not runtime_is_pristine(runtime)
 
 
+@pytest.mark.parametrize("hook", ["metrics", "profiler"])
+def test_hooked_runtime_is_not_pristine(hook):
+    # A restore or a fork would hand the runtime a copy of the hook that
+    # its owner never reads.
+    from repro.telemetry.metrics import attach_metrics
+    from repro.telemetry.profiler import attach_profiler
+
+    runtime = _small_runtime()
+    (attach_metrics if hook == "metrics" else attach_profiler)(runtime)
+    assert not runtime_is_pristine(runtime)
+
+
 @pytest.mark.parametrize("defense", ["mig", "lane"])
 def test_defended_runtime_is_not_pristine(defense):
     # Defenses swap in subclassed components the config hash cannot see;

@@ -102,6 +102,53 @@ class TestInterconnect:
         assert icx.counters_snapshot()["link0-1:transfers"] == 0
 
 
+class TestBusyCycles:
+    """Busy cycles derive from transfer counts, not from the walk."""
+
+    EDGE = frozenset((0, 1))
+
+    def _pair(self):
+        spec = DGXSpec.small()
+        topo = Topology(spec)
+        return Interconnect(spec, topo), Interconnect(spec, topo)
+
+    def _both_walks(self, batched, sequential, start, count=24):
+        stamps = np.arange(count, dtype=np.float64) * 3.0 + start
+        batched.transfer_batch(0, 1, stamps)
+        for stamp in stamps:
+            sequential.transfer(0, 1, float(stamp))
+
+    def test_degraded_link_books_the_same_on_both_walks(self):
+        batched, sequential = self._pair()
+        for icx in (batched, sequential):
+            icx.degrade_link(self.EDGE, 1.37)
+        self._both_walks(batched, sequential, 0.0)
+        serialization = batched._serialization[batched.topology.edge_index[self.EDGE]]
+        assert batched.busy_cycles() == sequential.busy_cycles()
+        assert batched.busy_cycles()[self.EDGE] == 24 * serialization
+        assert batched.counters_snapshot() == sequential.counters_snapshot()
+
+    def test_degrade_then_restore_folds_the_running_value(self):
+        batched, sequential = self._pair()
+        base = float(batched.spec.nvlink.serialization_cycles)
+        self._both_walks(batched, sequential, 0.0)
+        for icx in (batched, sequential):
+            icx.degrade_link(self.EDGE, 1.37)
+        self._both_walks(batched, sequential, 1_000.0)
+        for icx in (batched, sequential):
+            icx.restore_link(self.EDGE)
+        self._both_walks(batched, sequential, 2_000.0, count=5)
+        assert batched.busy_cycles() == sequential.busy_cycles()
+        degraded = base * 1.37
+        assert batched.busy_cycles()[self.EDGE] == pytest.approx(
+            24 * base + 24 * degraded + 5 * base
+        )
+        window = 10_000.0
+        assert batched.utilization(window) == sequential.utilization(window)
+        batched.reset()
+        assert batched.busy_cycles()[self.EDGE] == 0.0
+
+
 class _RecordingTracer:
     def __init__(self):
         self.events = []
@@ -134,9 +181,7 @@ class TestBatchDifferential:
         # And so do the per-link counters.
         for edge in topo.path(0, dst):
             assert batched._transfers[edge] == sequential._transfers[edge]
-            assert batched._busy_cycles[edge] == pytest.approx(
-                sequential._busy_cycles[edge]
-            )
+            assert batched.busy_cycles()[edge] == sequential.busy_cycles()[edge]
             assert batched._queued_cycles[edge] == pytest.approx(
                 sequential._queued_cycles[edge]
             )

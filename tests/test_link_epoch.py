@@ -31,7 +31,7 @@ from repro.core.linkchannel.sidechannel import (
     victim_traffic_kernel,
 )
 from repro.defense.partitioning import enable_lane_partitioning
-from repro.hw.interconnect import Interconnect, least_busy_lane
+from repro.hw.interconnect import least_busy_lane
 from repro.hw.occupancy import multi_server_waits, multi_server_waits_scalar
 from repro.runtime.api import Runtime
 from repro.telemetry.metrics import attach_metrics

@@ -25,7 +25,6 @@ from repro.experiments.executor import ProgressEvent, run_experiments
 from repro.runtime.api import Runtime
 from repro.sim.ops import ProbeSet, ReadClock, Sleep
 from repro.telemetry import (
-    AttackMetrics,
     ChannelHealth,
     ChaosCorrelator,
     EpochProfiler,

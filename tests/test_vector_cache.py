@@ -408,7 +408,7 @@ def test_random_trace_backends_agree(remote, parallel, hashed, monkeypatch):
     assert vec_counters.nvlink_bytes_out == ref_counters.nvlink_bytes_out
     vec_fabric, ref_fabric = vec.system.interconnect, ref.system.interconnect
     assert vec_fabric._transfers == ref_fabric._transfers
-    assert vec_fabric._busy_cycles == ref_fabric._busy_cycles
+    assert vec_fabric.busy_cycles() == ref_fabric.busy_cycles()
     # Every walk books each hop's waits in transfer order, like the
     # reference's one-transfer-at-a-time counters.
     assert vec_fabric._queued_cycles == ref_fabric._queued_cycles
